@@ -2,16 +2,24 @@
 // parallel execution layer (data/parallel_scan.h) on the archival patterns
 // behind the paper's slow paths — full-scan aggregation, selective counting,
 // threshold counting (rejection sampling) and exact DPT initialization —
-// across a sweep of worker counts. Emits one JSON line per (metric, threads,
-// rows) so the CI perf-regression job can track throughput:
+// plus the k-d partition optimizer a 2-D janus engine runs at set-up and on
+// every re-optimization (optimize_kd: a 2% archive sample of the
+// pickup_time x trip_distance -> fare template; its "rows" are the sample's
+// size) — across a sweep of worker counts. Emits one JSON line per (metric,
+// threads, rows) so the CI perf-regression job can track throughput:
 //
 //   {"bench":"parallel_scan","metric":"full_scan_aggregate","threads":8,
 //    "rows":1000000,"seconds":0.0012,"rows_per_sec":8.3e8,
 //    "speedup_vs_serial":3.4,"checksum":...}
 //
 // Flags: rows=1000000  reps=3  threads=1,2,4,8  seed=2024
+//
+// Exits nonzero when a pooled run disagrees with the serial one: counts and
+// k-d partition specs must match exactly, aggregates within 1e-9.
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -24,6 +32,7 @@
 #include "data/scan.h"
 #include "data/simd.h"
 #include "data/table.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -46,6 +55,33 @@ Sample Best(int reps, Fn&& fn) {
     if (secs < best.seconds) best = {secs, checksum};
   }
   return best;
+}
+
+/// FNV-1a over every node's links, split dimension and split value bits,
+/// the leaf list and the worst error: equal specs give equal checksums.
+/// Folded to 52 bits so the double carrying it is exact.
+double SpecChecksum(const PartitionResult& pr) {
+  uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto bits = [](double v) {
+    uint64_t u;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+  };
+  for (const PartitionNode& n : pr.spec.nodes) {
+    mix(static_cast<uint64_t>(n.left));
+    mix(static_cast<uint64_t>(n.right));
+    mix(static_cast<uint64_t>(n.split_dim));
+    mix(bits(n.split_val));
+  }
+  for (int leaf : pr.spec.leaves) mix(static_cast<uint64_t>(leaf));
+  mix(bits(pr.spec.worst_error));
+  return static_cast<double>(h >> 12);
 }
 
 void Emit(const char* metric, int threads, size_t rows, const Sample& s,
@@ -84,6 +120,16 @@ bool RunAt(size_t rows, int reps, uint64_t seed,
   sopts.num_leaves = 128;
   sopts.seed = seed;
 
+  SptOptions kd_opts;
+  kd_opts.spec.agg_column = ds.schema.ColumnIndex("fare");
+  kd_opts.spec.predicate_columns = {ds.schema.ColumnIndex("pickup_time"),
+                                    ds.schema.ColumnIndex("trip_distance")};
+  kd_opts.num_leaves = 128;
+  kd_opts.seed = seed;
+  Rng sample_rng(seed);
+  const std::vector<Tuple> kd_sample =
+      table.SampleUniform(&sample_rng, rows / 50);
+
   // Serial baselines (the data/scan.h kernels, no pool).
   const Sample serial_agg = Best(reps, [&] {
     return scan::AggregateInRect(store, AggFunc::kSum, agg, pred, everything)
@@ -100,10 +146,14 @@ bool RunAt(size_t rows, int reps, uint64_t seed,
     SptBuildResult b = BuildSpt(store, sopts);
     return b.synopsis->NodeCountEstimate(0);
   });
+  const Sample serial_kd = Best(reps, [&] {
+    return SpecChecksum(OptimizePartition(kd_sample, kd_opts, rows));
+  });
   Emit("full_scan_aggregate", 1, rows, serial_agg, serial_agg.seconds);
   Emit("selective_count", 1, rows, serial_count, serial_count.seconds);
   Emit("count_at_least", 1, rows, serial_atleast, serial_atleast.seconds);
   Emit("dpt_init_exact", 1, rows, serial_init, serial_init.seconds);
+  Emit("optimize_kd", 1, kd_sample.size(), serial_kd, serial_kd.seconds);
 
   bool ok = true;
   for (int threads : thread_counts) {
@@ -140,11 +190,25 @@ bool RunAt(size_t rows, int reps, uint64_t seed,
     });
     Emit("dpt_init_exact", threads, rows, par_init, serial_init.seconds);
 
-    // Correctness tripwire: counts are bit-identical, aggregates 1e-9.
+    SptOptions pkd_opts = kd_opts;
+    pkd_opts.exec = ctx;
+    const Sample par_kd = Best(reps, [&] {
+      return SpecChecksum(OptimizePartition(kd_sample, pkd_opts, rows));
+    });
+    Emit("optimize_kd", threads, kd_sample.size(), par_kd, serial_kd.seconds);
+
+    // Correctness tripwire: counts and k-d specs are bit-identical,
+    // aggregates 1e-9.
     if (par_count.checksum != serial_count.checksum ||
         par_atleast.checksum != serial_atleast.checksum) {
       std::printf("{\"bench\":\"parallel_scan\",\"error\":\"count mismatch\","
                   "\"threads\":%d}\n",
+                  threads);
+      ok = false;
+    }
+    if (par_kd.checksum != serial_kd.checksum) {
+      std::printf("{\"bench\":\"parallel_scan\",\"error\":\"k-d spec "
+                  "mismatch\",\"threads\":%d}\n",
                   threads);
       ok = false;
     }

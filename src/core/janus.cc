@@ -55,10 +55,12 @@ void JanusAqp::RefreshBaselines() {
 }
 
 std::vector<double> JanusAqp::ComputeBaselines(const Dpt& dpt) const {
-  std::vector<double> baselines(dpt.tree().nodes.size(), 0);
-  for (int leaf : dpt.tree().leaves) {
-    baselines[static_cast<size_t>(leaf)] =
-        dpt.sample_index().MaxVariance(dpt.LeafRect(leaf), opts_.focus);
+  const PartitionTreeSpec& spec = dpt.tree();
+  const std::vector<double> per_leaf =
+      LeafMaxVariances(dpt.sample_index(), spec, opts_.focus, opts_.exec);
+  std::vector<double> baselines(spec.nodes.size(), 0);
+  for (size_t l = 0; l < spec.leaves.size(); ++l) {
+    baselines[static_cast<size_t>(spec.leaves[l])] = per_leaf[l];
   }
   return baselines;
 }
@@ -173,9 +175,9 @@ size_t JanusAqp::StepCatchup(size_t batch) {
 
 double JanusAqp::CurrentTreeMaxVariance() const {
   double worst = 0;
-  for (int leaf : dpt_->tree().leaves) {
-    worst = std::max(worst, dpt_->sample_index().MaxVariance(
-                                dpt_->LeafRect(leaf), opts_.focus));
+  for (double v : LeafMaxVariances(dpt_->sample_index(), dpt_->tree(),
+                                   opts_.focus, opts_.exec)) {
+    worst = std::max(worst, v);
   }
   return worst;
 }

@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "core/variance.h"
+#include "data/parallel_scan.h"
 #include "persist/serde.h"
 #include "util/invariants.h"
+#include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace janus {
 
@@ -98,54 +102,15 @@ double MaxVarianceIndex::RankRangeVariance(size_t lo, size_t hi,
   return 0;
 }
 
-double MaxVarianceIndex::RectVariance(const Rectangle& r, AggFunc f) const {
+double MaxVarianceIndex::RectVariance(const Rectangle& r, AggFunc f,
+                                      std::vector<double>* scratch) const {
+  if (f == AggFunc::kSum) return RectSumVariance(r, scratch);
   const TreeAgg whole = kd_.RangeAggregate(r);
   const double mi = whole.count;
   if (mi < 2) return 0;
   switch (f) {
     case AggFunc::kCount:
       return CountQueryVariance(mi / opts_.sampling_rate, mi, mi / 2.0);
-    case AggFunc::kSum: {
-      // Split R into two equal-count halves along its widest data extent by
-      // binary searching the splitting coordinate with range-count queries.
-      const Rectangle bbox = kd_.BoundingBox();
-      int dim = 0;
-      double lo = 0, hi = 0;
-      double best_extent = -1;
-      for (int d = 0; d < dims(); ++d) {
-        const double dlo = std::max(r.lo(d), bbox.lo(d));
-        const double dhi = std::min(r.hi(d), bbox.hi(d));
-        const double extent = dhi - dlo;
-        if (extent > best_extent) {
-          best_extent = extent;
-          dim = d;
-          lo = dlo;
-          hi = dhi;
-        }
-      }
-      const double target = mi / 2;
-      for (int iter = 0; iter < 60 && hi - lo > 1e-12 * (std::abs(hi) + 1);
-           ++iter) {
-        const double mid = 0.5 * (lo + hi);
-        Rectangle probe = r;
-        probe.set_hi(dim, mid);
-        const double c = kd_.RangeAggregate(probe).count;
-        if (c < target) {
-          lo = mid;
-        } else {
-          hi = mid;
-        }
-      }
-      Rectangle left = r;
-      left.set_hi(dim, 0.5 * (lo + hi));
-      const TreeAgg la = kd_.RangeAggregate(left);
-      TreeAgg ra;
-      ra.count = whole.count - la.count;
-      ra.sum = whole.sum - la.sum;
-      ra.sumsq = whole.sumsq - la.sumsq;
-      const TreeAgg& best = la.sumsq >= ra.sumsq ? la : ra;
-      return SumLeafError(opts_.sampling_rate, mi, best);
-    }
     case AggFunc::kAvg: {
       const size_t cap = std::max<size_t>(
           2, static_cast<size_t>(opts_.delta *
@@ -155,6 +120,7 @@ double MaxVarianceIndex::RectVariance(const Rectangle& r, AggFunc f) const {
       if (cell.count < 1) return AvgLeafError(mi, whole);
       return AvgLeafError(mi, cell);
     }
+    case AggFunc::kSum:  // answered by RectSumVariance above
     case AggFunc::kMin:
     case AggFunc::kMax:
       return 0;
@@ -162,11 +128,62 @@ double MaxVarianceIndex::RectVariance(const Rectangle& r, AggFunc f) const {
   return 0;
 }
 
+double MaxVarianceIndex::RectSumVariance(
+    const Rectangle& r, std::vector<double>* coords) const {
+  // Split R into two equal-count halves along its widest data extent: a
+  // 60-step bisection of the coordinate. A step's test "fewer than mi/2 of
+  // R's samples at or below mid" holds exactly when mid lies below their
+  // ceil(mi/2)-th smallest coordinate, so one selection answers every step.
+  const Rectangle bbox = kd_.BoundingBox();
+  int dim = 0;
+  double lo = 0, hi = 0;
+  double best_extent = -1;
+  for (int d = 0; d < dims(); ++d) {
+    const double dlo = std::max(r.lo(d), bbox.lo(d));
+    const double dhi = std::min(r.hi(d), bbox.hi(d));
+    const double extent = dhi - dlo;
+    if (extent > best_extent) {
+      best_extent = extent;
+      dim = d;
+      lo = dlo;
+      hi = dhi;
+    }
+  }
+  const TreeAgg whole = kd_.AggregateWithCoords(r, dim, coords);
+  const double mi = whole.count;
+  if (mi < 2) return 0;
+  const double median = LowerMedian(coords);
+  for (int iter = 0; iter < 60 && hi - lo > 1e-12 * (std::abs(hi) + 1);
+       ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (mid < median) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  Rectangle left = r;
+  left.set_hi(dim, 0.5 * (lo + hi));
+  const TreeAgg la = kd_.RangeAggregate(left);
+  TreeAgg ra;
+  ra.count = whole.count - la.count;
+  ra.sum = whole.sum - la.sum;
+  ra.sumsq = whole.sumsq - la.sumsq;
+  const TreeAgg& best = la.sumsq >= ra.sumsq ? la : ra;
+  return SumLeafError(opts_.sampling_rate, mi, best);
+}
+
 double MaxVarianceIndex::MaxVariance(const Rectangle& r) const {
   return MaxVariance(r, opts_.focus);
 }
 
 double MaxVarianceIndex::MaxVariance(const Rectangle& r, AggFunc f) const {
+  std::vector<double> scratch;
+  return MaxVariance(r, f, &scratch);
+}
+
+double MaxVarianceIndex::MaxVariance(const Rectangle& r, AggFunc f,
+                                     std::vector<double>* scratch) const {
   if (opts_.dims == 1) {
     // Use the exact rank-range machinery in one dimension.
     const size_t lo = tree1d_.RankOf(r.lo(0));
@@ -174,7 +191,7 @@ double MaxVarianceIndex::MaxVariance(const Rectangle& r, AggFunc f) const {
     const TreeAgg range = tree1d_.KeyRangeAggregate(r.lo(0), r.hi(0));
     return RankRangeVariance(lo, lo + static_cast<size_t>(range.count), f);
   }
-  return RectVariance(r, f);
+  return RectVariance(r, f, scratch);
 }
 
 double MaxVarianceIndex::MaxVarianceRankRange(size_t lo, size_t hi) const {
@@ -186,6 +203,26 @@ double MaxVarianceIndex::MaxVarianceRankRange(size_t lo, size_t hi,
   return RankRangeVariance(lo, hi, f);
 }
 
+
+std::vector<double> LeafMaxVariances(const MaxVarianceIndex& index,
+                                     const PartitionTreeSpec& spec, AggFunc f,
+                                     const scan::ExecContext& exec) {
+  std::vector<double> out(spec.leaves.size(), 0.0);
+  // A 1-D probe is a pair of O(log m) rank lookups, far below the cost of
+  // a pool dispatch, so only k-d sweeps fan out.
+  const size_t workers =
+      index.dims() > 1 && exec.pool != nullptr && spec.leaves.size() >= 8
+          ? exec.pool->num_threads()
+          : 1;
+  std::vector<std::vector<double>> scratch(workers);
+  scan::ForEachIndexInSlot(
+      exec, spec.leaves.size(), workers, [&](size_t slot, size_t l) {
+        out[l] = index.MaxVariance(
+            spec.nodes[static_cast<size_t>(spec.leaves[l])].rect, f,
+            &scratch[slot]);
+      });
+  return out;
+}
 
 void MaxVarianceIndex::SaveTo(persist::Writer* w) const {
   kd_.SaveTo(w);

@@ -5,6 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/partition.h"
+#include "data/exec_context.h"
 #include "data/schema.h"
 #include "index/dynamic_kd_tree.h"
 #include "index/order_stat_tree.h"
@@ -60,6 +62,14 @@ class MaxVarianceIndex {
   /// Same for an explicit aggregate function.
   double MaxVariance(const Rectangle& r, AggFunc f) const;
 
+  /// Same, with the caller's scratch space: for d > 1 the SUM probe
+  /// collects R's sample coordinates along one dimension into *scratch
+  /// (contents replaced). A caller that probes many rectangles passes one
+  /// vector per thread, so the storage is allocated once, not per probe,
+  /// and is released when the caller drops it.
+  double MaxVariance(const Rectangle& r, AggFunc f,
+                     std::vector<double>* scratch) const;
+
   /// 1-D only: M over the rank range [lo, hi) of the sorted samples — the
   /// primitive the binary-search partitioner iterates on.
   double MaxVarianceRankRange(size_t lo, size_t hi) const;
@@ -82,12 +92,29 @@ class MaxVarianceIndex {
 
  private:
   double RankRangeVariance(size_t lo, size_t hi, AggFunc f) const;
-  double RectVariance(const Rectangle& r, AggFunc f) const;
+  /// M(R) for d > 1, from the k-d tree: COUNT needs R's aggregate only,
+  /// AVG one canonical-cell search.
+  double RectVariance(const Rectangle& r, AggFunc f,
+                      std::vector<double>* scratch) const;
+  /// RectVariance for SUM: R's aggregate and coordinates along the split
+  /// dimension from one traversal, one selection for the equal-count split,
+  /// and the left half's aggregate. The coordinates go to *coords.
+  double RectSumVariance(const Rectangle& r,
+                         std::vector<double>* coords) const;
 
   Options opts_;
   DynamicKdTree kd_;
   OrderStatTree tree1d_;  // populated only when dims == 1
 };
+
+/// M(leaf) under `f` for every leaf of `spec`, indexed like spec.leaves.
+/// For d > 1 the probes are independent read-only index queries fanned out
+/// over `exec`'s pool into fixed slots, so the result is bit-identical to a
+/// serial sweep under any scheduling; each pool worker reuses one scratch
+/// vector for the sweep. A 1-D sweep runs serially.
+std::vector<double> LeafMaxVariances(const MaxVarianceIndex& index,
+                                     const PartitionTreeSpec& spec, AggFunc f,
+                                     const scan::ExecContext& exec);
 
 /// Converts a tuple to an index point under a synopsis template.
 KdPoint MakeKdPoint(const Tuple& t, const std::vector<int>& predicate_columns,

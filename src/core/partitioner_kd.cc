@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "data/parallel_scan.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace janus {
@@ -35,22 +36,21 @@ struct HeapEntry {
   }
 };
 
-/// Median coordinate of the samples inside `rect` along `dim`, found by
-/// binary search on the coordinate with range-count probes (O(log) probes).
+/// Split coordinate of `rect` along `dim`: a 60-step bisection over the
+/// samples' extent toward the coordinate with half of the rect's samples at
+/// or below it. A step's test "fewer than m/2 samples at or below mid"
+/// holds exactly when mid lies below `median`, the ceil(m/2)-th smallest
+/// coordinate, so the loop needs no tree probe.
 double MedianCoord(const DynamicKdTree& kd, const Rectangle& rect, int dim,
-                   double total) {
+                   double median) {
   const Rectangle bbox = kd.BoundingBox();
   double lo = std::max(rect.lo(dim), bbox.lo(dim));
   double hi = std::min(rect.hi(dim), bbox.hi(dim));
-  const double target = total / 2;
   for (int iter = 0;
        iter < 60 && hi - lo > 1e-12 * (std::abs(hi) + std::abs(lo) + 1);
        ++iter) {
     const double mid = 0.5 * (lo + hi);
-    Rectangle probe = rect;
-    probe.set_hi(dim, mid);
-    const double c = kd.RangeAggregate(probe).count;
-    if (c < target) {
+    if (mid < median) {
       lo = mid;
     } else {
       hi = mid;
@@ -69,27 +69,40 @@ void GreedyGrow(const MaxVarianceIndex& index, const PartitionerKdOptions& opts,
                 PartitionTreeSpec* spec, std::priority_queue<HeapEntry>* heap,
                 int* leaves, int num_leaves) {
   const int d = index.dims();
+  // Coordinate scratch for the whole loop: [0] holds the popped leaf's
+  // samples along the dimension being tried, then [c] serves child c's
+  // max-variance probe.
+  std::vector<double> scratch[2];
+  std::vector<double>& coords = scratch[0];
   while (*leaves < num_leaves && !heap->empty()) {
     HeapEntry top = heap->top();
     heap->pop();
     PartitionNode parent_copy = spec->nodes[static_cast<size_t>(top.node)];
-    const double count = index.kd().RangeAggregate(parent_copy.rect).count;
-    if (count < 2) continue;
     // Split on the median of the round-robin dimension of this branch; if
-    // the samples are degenerate along it, try the other dimensions.
+    // the samples are degenerate along it, try the other dimensions. The
+    // children's sample counts come from the same coordinates (closed
+    // rectangles: a sample on the split value lies in both).
     int dim = top.depth % d;
     double split = 0;
+    double child_count[2] = {0, 0};
     bool found = false;
     for (int attempt = 0; attempt < d; ++attempt) {
       const int try_dim = (dim + attempt) % d;
-      const double candidate =
-          MedianCoord(index.kd(), parent_copy.rect, try_dim, count);
-      Rectangle probe = parent_copy.rect;
-      probe.set_hi(try_dim, candidate);
-      const double left_count = index.kd().RangeAggregate(probe).count;
-      if (left_count > 0 && left_count < count) {
+      index.kd().AggregateWithCoords(parent_copy.rect, try_dim, &coords);
+      if (coords.size() < 2) break;
+      const double candidate = MedianCoord(index.kd(), parent_copy.rect,
+                                           try_dim, LowerMedian(&coords));
+      size_t left_count = 0;
+      size_t right_count = 0;
+      for (double x : coords) {
+        left_count += x <= candidate;
+        right_count += x >= candidate;
+      }
+      if (left_count > 0 && left_count < coords.size()) {
         dim = try_dim;
         split = candidate;
+        child_count[0] = static_cast<double>(left_count);
+        child_count[1] = static_cast<double>(right_count);
         found = true;
         break;
       }
@@ -112,21 +125,19 @@ void GreedyGrow(const MaxVarianceIndex& index, const PartitionerKdOptions& opts,
     parent.split_dim = dim;
     parent.split_val = split;
     // The two freshly-cut children are evaluated concurrently when a pool
-    // is available: each evaluation (range aggregate + max-variance probe)
-    // is a read-only tree query, and the results land in fixed slots, so
-    // the heap sees the same entries as a serial build. (Inside a phase-2
-    // subtree task this degrades to the serial inline path via the
-    // nested-scan guard — same result either way.)
-    double child_count[2];
+    // is available: each max-variance probe is a read-only tree query, and
+    // the results land in fixed slots, so the heap sees the same entries as
+    // a serial build. (Inside a phase-2 subtree task this degrades to the
+    // serial inline path via the nested-scan guard — same result either
+    // way.)
     double child_var[2];
     const int child_node[2] = {li, ri};
     scan::ForEachIndex(opts.exec, 2, opts.exec.pool != nullptr ? 2 : 1,
                        [&](size_t c) {
-                         const Rectangle& r =
+                         child_var[c] = index.MaxVariance(
                              spec->nodes[static_cast<size_t>(child_node[c])]
-                                 .rect;
-                         child_count[c] = index.kd().RangeAggregate(r).count;
-                         child_var[c] = index.MaxVariance(r, opts.focus);
+                                 .rect,
+                             opts.focus, &scratch[c]);
                        });
     heap->push({child_var[0], li, top.depth + 1, child_count[0]});
     heap->push({child_var[1], ri, top.depth + 1, child_count[1]});
@@ -266,24 +277,15 @@ PartitionResult BuildPartitionKd(const MaxVarianceIndex& index,
     }
   }
 
-  // Collect leaves in node order and the worst-bucket error. The error
-  // probes are independent tree queries, so they fan out over the pool;
-  // the max-reduction is order-insensitive, hence bit-identical to serial.
+  // Collect leaves in node order and the worst-bucket error (a pooled
+  // sweep; the max-reduction is order-insensitive, hence bit-identical).
   for (int i = 0; i < static_cast<int>(spec.nodes.size()); ++i) {
     if (spec.nodes[static_cast<size_t>(i)].IsLeaf()) {
       spec.leaves.push_back(i);
     }
   }
-  std::vector<double> leaf_error(spec.leaves.size(), 0.0);
-  scan::ForEachIndex(
-      opts.exec, spec.leaves.size(),
-      opts.exec.pool != nullptr && spec.leaves.size() >= 8
-          ? opts.exec.pool->num_threads()
-          : 1,
-      [&](size_t l) {
-        leaf_error[l] = index.MaxVariance(
-            spec.nodes[static_cast<size_t>(spec.leaves[l])].rect, opts.focus);
-      });
+  const std::vector<double> leaf_error =
+      LeafMaxVariances(index, spec, opts.focus, opts.exec);
   double worst = 0;
   for (double e : leaf_error) worst = std::max(worst, e);
   spec.worst_error = std::sqrt(worst);

@@ -274,24 +274,31 @@ void ForEachMorsel(const ExecContext& ctx, size_t rows, const MorselPlan& plan,
 
 void ForEachIndex(const ExecContext& ctx, size_t count, size_t workers,
                   const std::function<void(size_t)>& fn) {
+  ForEachIndexInSlot(ctx, count, workers,
+                     [&fn](size_t, size_t i) { fn(i); });
+}
+
+void ForEachIndexInSlot(const ExecContext& ctx, size_t count, size_t workers,
+                        const std::function<void(size_t, size_t)>& fn) {
   if (t_in_scan_worker) workers = 1;
   if (workers <= 1 || count < 2) {
     ScanWorkerScope scope;
-    for (size_t i = 0; i < count; ++i) fn(i);
+    for (size_t i = 0; i < count; ++i) fn(0, i);
     return;
   }
   workers = std::min(workers, count);
   std::atomic<size_t> cursor{0};
-  auto drain = [&] {
+  auto drain = [&](size_t slot) {
     ScanWorkerScope scope;
     for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < count;
          i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      fn(i);
+      fn(slot, i);
     }
   };
-  GangTask gang([&](size_t) { drain(); }, workers - 1);
+  // Gang helpers are handed slots 1..workers-1.
+  GangTask gang(drain, workers - 1);
   ctx.pool->SubmitGang(&gang);
-  drain();
+  drain(0);
   ctx.pool->CloseGang(&gang);
 }
 

@@ -103,6 +103,12 @@ void ForEachMorsel(const ExecContext& ctx, size_t rows, const MorselPlan& plan,
 void ForEachIndex(const ExecContext& ctx, size_t count, size_t workers,
                   const std::function<void(size_t)>& fn);
 
+/// ForEachIndex passing fn(slot, index), where `slot` is stable per puller
+/// in [0, min(workers, count)) (the caller is slot 0, a serial run only
+/// slot 0), so a body can reuse per-slot scratch space across indexes.
+void ForEachIndexInSlot(const ExecContext& ctx, size_t count, size_t workers,
+                        const std::function<void(size_t, size_t)>& fn);
+
 // --- parallel kernels -------------------------------------------------------
 //
 // Each kernel plans once, runs the serial range kernel (data/scan.h) per

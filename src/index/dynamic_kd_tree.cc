@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "persist/common.h"
 #include "util/invariants.h"
@@ -314,6 +315,50 @@ void DynamicKdTree::Report(const Rectangle& rect,
     stack.push_back(n->left);
     stack.push_back(n->right);
   }
+}
+
+TreeAgg DynamicKdTree::AggregateWithCoords(const Rectangle& rect, int dim,
+                                           std::vector<double>* coords) const {
+  coords->clear();
+  TreeAgg agg;
+  if (!root_) return agg;
+  // The flag marks descendants of a node found inside `rect`: that node's
+  // cached aggregate was added where RangeAggregate stops, and its points
+  // are copied without box or point tests. They are popped before anything
+  // pushed earlier, so the additions keep RangeAggregate's order.
+  std::vector<std::pair<const Node*, bool>> stack{{root_, false}};
+  while (!stack.empty()) {
+    auto [n, inside] = stack.back();
+    stack.pop_back();
+    if (n->count == 0) continue;
+    if (!inside) {
+      const BoxRelation rel =
+          Classify(rect, n->bb_lo.data(), n->bb_hi.data(), dims_);
+      if (rel == BoxRelation::kDisjoint) continue;
+      if (rel == BoxRelation::kInside) {
+        agg.count += static_cast<double>(n->count);
+        agg.sum += n->sum;
+        agg.sumsq += n->sumsq;
+        inside = true;
+      }
+    }
+    if (n->IsLeaf()) {
+      for (const KdPoint& p : n->leaf_points) {
+        if (inside) {
+          coords->push_back(p.x[dim]);
+        } else if (PointInRect(rect, p, dims_)) {
+          agg.count += 1;
+          agg.sum += p.a;
+          agg.sumsq += p.a * p.a;
+          coords->push_back(p.x[dim]);
+        }
+      }
+      continue;
+    }
+    stack.push_back({n->left, inside});
+    stack.push_back({n->right, inside});
+  }
+  return agg;
 }
 
 TreeAgg DynamicKdTree::MaxSumsqCell(const Rectangle& rect, size_t cap) const {

@@ -60,6 +60,14 @@ class DynamicKdTree {
   /// Append every point inside `rect` to `out`.
   void Report(const Rectangle& rect, std::vector<KdPoint>* out) const;
 
+  /// RangeAggregate(rect) together with the `dim` coordinate of every point
+  /// inside `rect`, which replace *coords (unordered), from one traversal.
+  /// The aggregate adds the same terms in the same order as RangeAggregate,
+  /// so it is bit-identical to it. A caller that reuses one vector across
+  /// calls allocates only when it grows.
+  TreeAgg AggregateWithCoords(const Rectangle& rect, int dim,
+                              std::vector<double>* coords) const;
+
   /// Among subtrees ("canonical cells") fully inside `rect` whose point count
   /// is <= cap and whose parent exceeds cap (i.e. maximal small cells),
   /// return the aggregate of the one with the largest sumsq. Returns a

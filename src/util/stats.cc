@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <limits>
 
 namespace janus {
 
@@ -25,6 +27,14 @@ double Percentile(std::vector<double> v, double p) {
 }
 
 double Median(std::vector<double> v) { return Percentile(std::move(v), 50.0); }
+
+double LowerMedian(std::vector<double>* v) {
+  if (v->empty()) return std::numeric_limits<double>::quiet_NaN();
+  const auto kth =
+      v->begin() + static_cast<std::ptrdiff_t>((v->size() - 1) / 2);
+  std::nth_element(v->begin(), kth, v->end());
+  return *kth;
+}
 
 double Mean(const std::vector<double>& v) {
   if (v.empty()) return 0.0;

@@ -51,6 +51,10 @@ double Percentile(std::vector<double> v, double p);
 /// Median convenience wrapper.
 double Median(std::vector<double> v);
 
+/// The ceil(n/2)-th smallest of the n values in *v (the lower median; NaN
+/// when n == 0), found with one selection. Reorders *v.
+double LowerMedian(std::vector<double>* v);
+
 /// Arithmetic mean of a vector (0 for empty input).
 double Mean(const std::vector<double>& v);
 

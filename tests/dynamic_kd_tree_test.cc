@@ -1,5 +1,8 @@
 #include "index/dynamic_kd_tree.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -172,6 +175,47 @@ TEST(KdTreeTest, ReportReturnsExactlyMatchingPoints) {
     EXPECT_LE(p.x[0], 0.5);
     EXPECT_GE(p.x[1], 0.25);
     EXPECT_LE(p.x[1], 0.5);
+  }
+}
+
+TEST(KdTreeTest, AggregateWithCoordsMatchesRangeAggregateBitForBit) {
+  auto pts = RandomPoints(2, 1000, 37);
+  // Coarse ties, and rectangle sides exactly on sample coordinates.
+  for (KdPoint& p : pts) p.x[0] = std::floor(p.x[0] * 8);
+  DynamicKdTree tree(2);
+  tree.Build(pts);
+  // Churn loosens the cached boxes the traversal classifies against.
+  Rng rng(38);
+  for (uint64_t id = 1000; id < 1300; ++id) {
+    const size_t j = rng.NextUint64(pts.size());
+    ASSERT_TRUE(tree.Delete(pts[j].x.data(), pts[j].id));
+    pts[j] = pts.back();
+    pts.pop_back();
+    KdPoint p = MakePoint(id, {std::floor(rng.NextDouble() * 8),
+                               rng.NextDouble()},
+                          rng.Uniform(-10, 10));
+    tree.Insert(p);
+    pts.push_back(p);
+  }
+  std::vector<double> coords;
+  for (const Rectangle& r :
+       {Rectangle({2, 0.25}, {5, 0.75}), Rectangle({3, 0}, {3, 1}),
+        Rectangle({-1, pts[7].x[1]}, {9, pts[7].x[1]}),
+        Rectangle({20, 20}, {30, 30}), Rectangle::Infinite(2)}) {
+    const TreeAgg want = tree.RangeAggregate(r);
+    for (int dim = 0; dim < 2; ++dim) {
+      const TreeAgg got = tree.AggregateWithCoords(r, dim, &coords);
+      EXPECT_EQ(got.count, want.count) << r.ToString();
+      EXPECT_EQ(std::memcmp(&got.sum, &want.sum, sizeof got.sum), 0);
+      EXPECT_EQ(std::memcmp(&got.sumsq, &want.sumsq, sizeof got.sumsq), 0);
+      std::vector<double> in_rect;
+      for (const KdPoint& p : pts) {
+        if (r.Contains(p.x.data())) in_rect.push_back(p.x[dim]);
+      }
+      std::sort(in_rect.begin(), in_rect.end());
+      std::sort(coords.begin(), coords.end());
+      EXPECT_EQ(coords, in_rect) << r.ToString();
+    }
   }
 }
 

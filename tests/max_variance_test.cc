@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "core/variance.h"
+#include "data/parallel_scan.h"
+#include "kd_range_count_reference.h"
+#include "test_seed.h"
 #include "util/rng.h"
 
 namespace janus {
@@ -189,6 +192,69 @@ TEST(MaxVarianceTest, MakeKdPointProjection) {
   EXPECT_DOUBLE_EQ(p.x[1], 1);
   EXPECT_DOUBLE_EQ(p.a, 2);
 }
+
+// M(R) for d > 1 must match the range-count bisection bit for bit, on the
+// optimizer's own rectangles (unbounded sides, splits on samples) and on
+// boxes whose sides lie exactly on sample coordinates.
+class RectVarianceOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RectVarianceOracleTest, MatchesRangeCountBisectionBitForBit) {
+  using kd_reference::Bits;
+  const int dims = GetParam();
+  scan::ExecContext pooled;
+  pooled.pool = scan::SharedScanPool();
+  for (kd_reference::Shape shape : kd_reference::kAllShapes) {
+    MaxVarianceIndex::Options o;
+    o.dims = dims;
+    auto idx = kd_reference::MakeIndex(
+        o, shape, 1200, TestSeed() + 10 + static_cast<uint64_t>(dims));
+    const PartitionTreeSpec spec =
+        kd_reference::BuildPartitionKd(*idx, o, 32, AggFunc::kSum).spec;
+    std::vector<Rectangle> rects;
+    for (const PartitionNode& node : spec.nodes) rects.push_back(node.rect);
+    std::vector<KdPoint> pts;
+    idx->kd().Dump(&pts);
+    Rng rng(TestSeed() + 20 + static_cast<uint64_t>(dims));
+    for (int i = 0; i < 60; ++i) {
+      std::vector<double> lo(static_cast<size_t>(dims));
+      std::vector<double> hi(static_cast<size_t>(dims));
+      for (size_t d = 0; d < lo.size(); ++d) {
+        double a = pts[rng.NextUint64(pts.size())].x[d];
+        double b = i % 3 == 0 ? rng.NextDouble() * 6
+                              : pts[rng.NextUint64(pts.size())].x[d];
+        if (i % 7 == 0) b = a;  // a zero-width slab through samples
+        lo[d] = std::min(a, b);
+        hi[d] = std::max(a, b);
+      }
+      rects.emplace_back(std::move(lo), std::move(hi));
+    }
+    for (AggFunc f : {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg}) {
+      SCOPED_TRACE(std::string(kd_reference::ShapeName(shape)) + " focus " +
+                   std::to_string(static_cast<int>(f)));
+      for (size_t i = 0; i < rects.size(); ++i) {
+        EXPECT_EQ(Bits(idx->MaxVariance(rects[i], f)),
+                  Bits(kd_reference::MaxVariance(*idx, o, rects[i], f)))
+            << "rect " << rects[i].ToString();
+      }
+      // The pooled leaf sweep fills the same slots as the serial one.
+      const std::vector<double> serial =
+          LeafMaxVariances(*idx, spec, f, scan::ExecContext{});
+      const std::vector<double> par = LeafMaxVariances(*idx, spec, f, pooled);
+      ASSERT_EQ(serial.size(), spec.leaves.size());
+      ASSERT_EQ(par.size(), spec.leaves.size());
+      for (size_t l = 0; l < spec.leaves.size(); ++l) {
+        const Rectangle& r =
+            spec.nodes[static_cast<size_t>(spec.leaves[l])].rect;
+        EXPECT_EQ(Bits(serial[l]),
+                  Bits(kd_reference::MaxVariance(*idx, o, r, f)));
+        EXPECT_EQ(Bits(par[l]), Bits(serial[l]));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, RectVarianceOracleTest,
+                         ::testing::Values(2, 3, 4, 5));
 
 }  // namespace
 }  // namespace janus

@@ -366,6 +366,40 @@ TEST(MorselStealingTest, SkewedMorselCostDoesNotStallTheScan) {
   EXPECT_EQ(kMorsels - 1, others.load());
 }
 
+TEST(ForEachIndexInSlotTest, SlotsAreExclusivePerPullerAndInRange) {
+  // Each index runs once, on a slot below min(workers, count), and no two
+  // pullers ever share a slot at the same time: a body may keep per-slot
+  // scratch space without locking it.
+  ThreadPool pool(4);
+  for (const size_t workers : {size_t{1}, size_t{3}, size_t{8}}) {
+    scan::ExecContext ctx;
+    ctx.pool = workers > 1 ? &pool : nullptr;
+    constexpr size_t kCount = 500;
+    std::vector<std::atomic<int>> runs(kCount);
+    std::vector<std::atomic<bool>> busy(workers);
+    std::atomic<size_t> max_slot{0};
+    std::atomic<bool> shared{false};
+    scan::ForEachIndexInSlot(ctx, kCount, workers, [&](size_t slot,
+                                                       size_t i) {
+      size_t seen = max_slot.load();
+      while (slot > seen && !max_slot.compare_exchange_weak(seen, slot)) {
+      }
+      if (slot >= workers || busy[slot].exchange(true)) {
+        shared.store(true);
+        return;
+      }
+      runs[i].fetch_add(1);
+      std::this_thread::yield();
+      busy[slot].store(false);
+    });
+    EXPECT_FALSE(shared.load()) << "workers=" << workers;
+    EXPECT_LT(max_slot.load(), workers);
+    for (size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(1, runs[i].load()) << "index " << i << " workers=" << workers;
+    }
+  }
+}
+
 TEST(ParseScanThreadsTest, ValidatesClampsAndWarns) {
   std::string warning;
   // Unset / empty fall back to hardware concurrency without complaint.

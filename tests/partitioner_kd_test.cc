@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "data/parallel_scan.h"
+#include "kd_range_count_reference.h"
+#include "test_seed.h"
 #include "util/rng.h"
 
 namespace janus {
@@ -138,6 +141,64 @@ TEST(KdPartitionerTest, CountFocusBalancesLeafCounts) {
   }
   EXPECT_LE(max_c / std::max(1.0, min_c), 4.0);
 }
+
+// Every split, rectangle, leaf list and the worst error must match the
+// range-count bisection bit for bit, serial and pooled, whatever the ties.
+class KdOracleTest : public ::testing::TestWithParam<int> {};
+
+void ExpectSameResult(const PartitionResult& want, const PartitionResult& got) {
+  using kd_reference::Bits;
+  ASSERT_TRUE(got.ok);
+  ASSERT_EQ(got.spec.nodes.size(), want.spec.nodes.size());
+  for (size_t i = 0; i < want.spec.nodes.size(); ++i) {
+    const PartitionNode& w = want.spec.nodes[i];
+    const PartitionNode& g = got.spec.nodes[i];
+    EXPECT_EQ(g.split_dim, w.split_dim) << "node " << i;
+    EXPECT_EQ(Bits(g.split_val), Bits(w.split_val)) << "node " << i;
+    EXPECT_EQ(g.left, w.left) << "node " << i;
+    EXPECT_EQ(g.right, w.right) << "node " << i;
+    EXPECT_EQ(g.parent, w.parent) << "node " << i;
+    for (int d = 0; d < want.spec.dims; ++d) {
+      EXPECT_EQ(Bits(g.rect.lo(d)), Bits(w.rect.lo(d))) << "node " << i;
+      EXPECT_EQ(Bits(g.rect.hi(d)), Bits(w.rect.hi(d))) << "node " << i;
+    }
+  }
+  EXPECT_EQ(got.spec.leaves, want.spec.leaves);
+  EXPECT_EQ(Bits(got.spec.worst_error), Bits(want.spec.worst_error));
+  EXPECT_EQ(Bits(got.achieved_error), Bits(want.achieved_error));
+}
+
+TEST_P(KdOracleTest, SpecsMatchRangeCountBisectionBitForBit) {
+  const int dims = GetParam();
+  constexpr int kLeaves = 48;  // past the 16-leaf frontier: both phases run
+  scan::ExecContext pooled;
+  pooled.pool = scan::SharedScanPool();
+  for (kd_reference::Shape shape : kd_reference::kAllShapes) {
+    for (AggFunc f : {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg}) {
+      SCOPED_TRACE(std::string(kd_reference::ShapeName(shape)) + " focus " +
+                   std::to_string(static_cast<int>(f)));
+      MaxVarianceIndex::Options o;
+      o.dims = dims;
+      o.focus = f;
+      auto idx = kd_reference::MakeIndex(
+          o, shape, 1500, TestSeed() + static_cast<uint64_t>(dims));
+      const PartitionResult want =
+          kd_reference::BuildPartitionKd(*idx, o, kLeaves, f);
+      if (shape == kd_reference::Shape::kUniform) {
+        EXPECT_EQ(want.spec.num_leaves(), kLeaves);
+      }
+      for (const scan::ExecContext& exec : {scan::ExecContext{}, pooled}) {
+        PartitionerKdOptions opts;
+        opts.num_leaves = kLeaves;
+        opts.focus = f;
+        opts.exec = exec;
+        ExpectSameResult(want, BuildPartitionKd(*idx, opts));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, KdOracleTest, ::testing::Values(2, 3, 4, 5));
 
 }  // namespace
 }  // namespace janus

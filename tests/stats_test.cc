@@ -90,6 +90,19 @@ TEST(PercentileTest, OutOfRangePClampsToExtremes) {
   EXPECT_DOUBLE_EQ(Percentile(v, 250), 9.0);
 }
 
+TEST(LowerMedianTest, CeilHalfOrderStatistic) {
+  std::vector<double> odd{5, 1, 9, 3, 7};
+  EXPECT_EQ(LowerMedian(&odd), 5.0);
+  std::vector<double> even{4, 1, 3, 2};
+  EXPECT_EQ(LowerMedian(&even), 2.0);  // the 2nd of 4, not 2.5
+  std::vector<double> ties{2, 2, 1, 2};
+  EXPECT_EQ(LowerMedian(&ties), 2.0);
+  std::vector<double> one{7};
+  EXPECT_EQ(LowerMedian(&one), 7.0);
+  std::vector<double> none;
+  EXPECT_TRUE(std::isnan(LowerMedian(&none)));
+}
+
 TEST(MeanTest, Basics) {
   EXPECT_DOUBLE_EQ(Mean({}), 0.0);
   EXPECT_DOUBLE_EQ(Mean({2, 4, 6}), 4.0);
