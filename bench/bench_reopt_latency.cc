@@ -12,7 +12,8 @@
 // Latency metrics carry "latency_ms" (lower is better — the checker gates
 // them as ceilings, unlike the throughput floors). last_blocking_ms is the
 // engine's own measurement of the exclusive step of its last re-opt: the
-// whole optimize+adopt in blocking mode, swap+tail in background mode.
+// populate + adopt step after the optimizer in blocking mode (the optimizer
+// itself also runs under exclusion there), swap+tail in background mode.
 //
 // The run ends with a deterministic core-level equivalence check (the
 // acceptance contract of the pipeline): a background Begin/Build/Finish with

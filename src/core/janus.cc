@@ -14,10 +14,6 @@ namespace janus {
 JanusAqp::JanusAqp(const JanusOptions& opts)
     : opts_(opts), table_(opts.schema), rng_(opts.seed) {}
 
-JanusAqp::~JanusAqp() {
-  if (opt_thread_.joinable()) opt_thread_.join();
-}
-
 DptOptions JanusAqp::MakeDptOptions() const {
   DptOptions d;
   d.spec = opts_.spec;
@@ -65,20 +61,14 @@ std::vector<double> JanusAqp::ComputeBaselines(const Dpt& dpt) const {
   return baselines;
 }
 
-void JanusAqp::AdoptSpec(PartitionTreeSpec spec) {
-  dpt_ = std::make_unique<Dpt>(MakeDptOptions(), std::move(spec));
-  dpt_->InitializeFromReservoir(reservoir_->samples(), table_.size());
-  const size_t goal = static_cast<size_t>(
-      opts_.catchup_rate * static_cast<double>(table_.size()));
-  catchup_ = std::make_unique<CatchupEngine>(
-      dpt_.get(), table_.store().WithoutIndex(), goal, rng_.Next());
-  RefreshBaselines();
+size_t JanusAqp::ReservoirTarget() const {
+  return std::max<size_t>(
+      32, static_cast<size_t>(2.0 * opts_.sample_rate *
+                              static_cast<double>(table_.size())));
 }
 
 void JanusAqp::Initialize() {
-  const size_t target = std::max<size_t>(
-      32, static_cast<size_t>(2.0 * opts_.sample_rate *
-                              static_cast<double>(table_.size())));
+  const size_t target = ReservoirTarget();
   reservoir_ = std::make_unique<DynamicReservoir>(target, rng_.Next());
   reservoir_->Reset(table_.SampleUniform(&rng_, target, opts_.exec));
   Timer timer;
@@ -86,7 +76,13 @@ void JanusAqp::Initialize() {
       OptimizePartition(reservoir_->samples(), MakeSptOptions(),
                         table_.size());
   Timer blocking;
-  AdoptSpec(std::move(pr.spec));
+  dpt_ = std::make_unique<Dpt>(MakeDptOptions(), std::move(pr.spec));
+  dpt_->InitializeFromReservoir(reservoir_->samples(), table_.size());
+  const size_t goal = static_cast<size_t>(
+      opts_.catchup_rate * static_cast<double>(table_.size()));
+  catchup_ = std::make_unique<CatchupEngine>(
+      dpt_.get(), table_.store().WithoutIndex(), goal, rng_.Next());
+  RefreshBaselines();
   counters_.last_blocking_seconds = blocking.ElapsedSeconds();
   counters_.last_reopt_seconds = timer.ElapsedSeconds();
 }
@@ -97,19 +93,11 @@ void JanusAqp::Insert(const Tuple& t) {
     table_.Insert(t);
     ++counters_.inserts;
     ReservoirChange ch = reservoir_->OnInsert(t, table_.size());
-    if (ch.evicted.has_value()) {
-      dpt_->SampleRemove(*ch.evicted);
-      if (bg_capture_) {
-        bg_.delta.push_back({ReoptDeltaOp::Kind::kSampleRemove, *ch.evicted, {}});
-      }
+    if (ch.evicted.has_value()) dpt_->SampleRemove(*ch.evicted);
+    if (ch.added.has_value()) dpt_->SampleAdd(*ch.added);
+    if (bg_) {
+      CaptureReoptDelta(ReoptDeltaOp::Kind::kInsert, t, ch, {}, &bg_->delta);
     }
-    if (ch.added.has_value()) {
-      dpt_->SampleAdd(*ch.added);
-      if (bg_capture_) {
-        bg_.delta.push_back({ReoptDeltaOp::Kind::kSampleAdd, *ch.added, {}});
-      }
-    }
-    if (bg_capture_) bg_.delta.push_back({ReoptDeltaOp::Kind::kInsert, t, {}});
   }
   {
     // Shared hold: a concurrent trigger repartition (tree_mu_ writer) must
@@ -129,29 +117,26 @@ bool JanusAqp::Delete(uint64_t id) {
     t = *p;
     // A pipeline whose archive assembly has not reached this row yet loses
     // its Begin-time payload with this delete; park it for the assembler.
-    if (bg_capture_ && bg_.copy_pos < bg_.t0_ids.size()) {
-      bg_.rescued.emplace(id, t);
+    if (bg_ && bg_->copy_pos < bg_->t0_ids.size()) {
+      bg_->rescued.emplace(id, t);
     }
     table_.Delete(id);
     ++counters_.deletes;
     ReservoirChange ch = reservoir_->OnDelete(id);
+    std::vector<Tuple> fresh;
     if (ch.needs_resample) {
       // Sec. 4.2: |S| hit its lower bound m; re-sample 2m from the archive.
-      std::vector<Tuple> fresh =
-          table_.SampleUniform(&rng_, reservoir_->capacity(), opts_.exec);
+      fresh = table_.SampleUniform(&rng_, reservoir_->capacity(), opts_.exec);
       reservoir_->Reset(fresh);
       dpt_->ResetSamples(fresh);
       ++counters_.reservoir_resamples;
-      if (bg_capture_) {
-        bg_.delta.push_back({ReoptDeltaOp::Kind::kSampleReset, Tuple{}, fresh});
-      }
     } else if (ch.evicted.has_value()) {
       dpt_->SampleRemove(*ch.evicted);
-      if (bg_capture_) {
-        bg_.delta.push_back({ReoptDeltaOp::Kind::kSampleRemove, *ch.evicted, {}});
-      }
     }
-    if (bg_capture_) bg_.delta.push_back({ReoptDeltaOp::Kind::kDelete, t, {}});
+    if (bg_) {
+      CaptureReoptDelta(ReoptDeltaOp::Kind::kDelete, t, ch, fresh,
+                        &bg_->delta);
+    }
   }
   {
     ReaderMutexLock tree(&tree_mu_);
@@ -173,27 +158,13 @@ size_t JanusAqp::StepCatchup(size_t batch) {
   return catchup_ ? catchup_->Step(batch) : 0;
 }
 
-double JanusAqp::CurrentTreeMaxVariance() const {
+bool JanusAqp::BeatsLiveTree(double cand_var) const {
   double worst = 0;
   for (double v : LeafMaxVariances(dpt_->sample_index(), dpt_->tree(),
                                    opts_.focus, opts_.exec)) {
     worst = std::max(worst, v);
   }
-  return worst;
-}
-
-bool JanusAqp::FullRepartition() {
-  Timer timer;
-  PartitionResult pr =
-      OptimizePartition(reservoir_->samples(), MakeSptOptions(),
-                        table_.size());
-  if (!pr.ok) return false;
-  Timer blocking;
-  AdoptSpec(std::move(pr.spec));
-  counters_.last_blocking_seconds = blocking.ElapsedSeconds();
-  counters_.last_reopt_seconds = timer.ElapsedSeconds();
-  ++counters_.repartitions;
-  return true;
+  return cand_var * opts_.beta < worst;
 }
 
 bool JanusAqp::PartialRepartition(int leaf) {
@@ -207,7 +178,7 @@ bool JanusAqp::PartialRepartition(int leaf) {
     if (parent < 0) break;
     anchor = parent;
   }
-  if (anchor == 0) return FullRepartition();
+  if (anchor == 0) return ReoptInline(-1);
 
   // Samples and leaf budget of the anchored subtree.
   const Rectangle& region = old_spec.nodes[static_cast<size_t>(anchor)].rect;
@@ -239,7 +210,7 @@ bool JanusAqp::PartialRepartition(int leaf) {
     // Region too thin to re-optimize on its own: degrade to a full rebuild,
     // and count it — silent fallbacks hide the real cost of psi > 0.
     ++counters_.partial_repartition_fallbacks;
-    return FullRepartition();
+    return ReoptInline(-1);
   }
 
   Timer timer;
@@ -249,7 +220,7 @@ bool JanusAqp::PartialRepartition(int leaf) {
       OptimizePartition(region_samples, sopts, table_.size());
   if (!sub.ok) {
     ++counters_.partial_repartition_fallbacks;
-    return FullRepartition();
+    return ReoptInline(-1);
   }
   // Clip the sub-spec's rectangles into the anchored region.
   for (PartitionNode& n : sub.spec.nodes) {
@@ -387,7 +358,7 @@ bool JanusAqp::PartialRepartition(int leaf) {
 }
 
 bool JanusAqp::CheckTriggers(const Tuple& t) {
-  if (!opts_.enable_triggers || !dpt_) return false;
+  if (!opts_.enable_triggers) return false;
   if (updates_since_check_.fetch_add(1) + 1 <
       opts_.trigger_check_interval) {
     return false;
@@ -395,16 +366,16 @@ bool JanusAqp::CheckTriggers(const Tuple& t) {
   updates_since_check_.store(0);
 
   bool starved = false;
-  bool drift = false;
   int leaf = -1;
-  double cur = 0;
   const Dpt* evaluated = nullptr;
   {
     // Evaluation reads the sample index and baselines, which concurrent
     // updaters mutate under update_mu_; the shared tree hold pins the
-    // synopsis pointer against a racing repartition.
+    // synopsis pointer against a racing repartition (which also makes the
+    // dpt_ read below safe).
     ReaderMutexLock tree(&tree_mu_);
     MutexLock lock(&update_mu_);
+    if (!dpt_) return false;
     evaluated = dpt_.get();
     ++counters_.trigger_checks;
     leaf = dpt_->LeafForTuple(t);
@@ -415,9 +386,11 @@ bool JanusAqp::CheckTriggers(const Tuple& t) {
     starved = si < opts_.starvation_factor * std::log2(std::max(2.0, m));
 
     // Variance drift check.
-    cur = dpt_->sample_index().MaxVariance(dpt_->LeafRect(leaf), opts_.focus);
+    const double cur =
+        dpt_->sample_index().MaxVariance(dpt_->LeafRect(leaf), opts_.focus);
     const double base = leaf_baseline_var_[static_cast<size_t>(leaf)];
-    drift = base > 0 && (cur > opts_.beta * base || cur * opts_.beta < base);
+    const bool drift =
+        base > 0 && (cur > opts_.beta * base || cur * opts_.beta < base);
 
     if (!starved && !drift) return false;
     ++counters_.trigger_fires;
@@ -427,7 +400,6 @@ bool JanusAqp::CheckTriggers(const Tuple& t) {
       // coalesce into the next pipeline run.
       reopt_request_ = true;
       reopt_request_starved_ = reopt_request_starved_ || starved;
-      reopt_request_drift_ = reopt_request_drift_ || (drift && !starved);
       reopt_request_leaf_ = leaf;
     }
   }
@@ -436,58 +408,50 @@ bool JanusAqp::CheckTriggers(const Tuple& t) {
     return false;
   }
 
-  // Blocking mode: rebuild inline. The exclusive tree hold fences the
-  // swap against concurrent appliers; if another updater repartitioned
+  // Blocking mode: run the pipeline inline. The exclusive tree hold fences
+  // the swap against concurrent appliers; if another updater repartitioned
   // between our evaluation and this acquisition the trigger data is stale,
   // so give up and let the next check re-evaluate the new tree.
   WriterMutexLock tree(&tree_mu_);
   MutexLock lock(&update_mu_);
   if (dpt_.get() != evaluated) return false;
-
-  if (starved) {
-    if (opts_.partial_repartition_psi > 0) return PartialRepartition(leaf);
-    return FullRepartition();
+  if (starved && opts_.partial_repartition_psi > 0) {
+    return PartialRepartition(leaf);
   }
-
-  // Drift: only adopt a new partitioning if it beats the current one by a
+  // Drift runs only adopt a partitioning that beats the current one by a
   // factor beta (Sec. 5.4).
-  PartitionResult cand =
-      OptimizePartition(reservoir_->samples(), MakeSptOptions(),
-                        table_.size());
-  const double cand_var = cand.achieved_error * cand.achieved_error;
-  const double cur_max = CurrentTreeMaxVariance();
-  if (cand.ok && cand_var * opts_.beta < cur_max) {
-    Timer blocking;
-    AdoptSpec(std::move(cand.spec));
-    counters_.last_blocking_seconds = blocking.ElapsedSeconds();
-    ++counters_.repartitions;
-    return true;
-  }
-  // The drifted level is the new normal; avoid re-firing every check.
-  leaf_baseline_var_[static_cast<size_t>(leaf)] = cur;
-  return false;
+  return ReoptInline(starved ? -1 : leaf);
 }
 
 void JanusAqp::Reinitialize() {
   Timer timer;
-  PartitionResult pr =
-      OptimizePartition(reservoir_->samples(), MakeSptOptions(),
-                        table_.size());
-  Timer blocking;
-  AdoptSpec(std::move(pr.spec));
-  counters_.last_blocking_seconds = blocking.ElapsedSeconds();
+  WriterMutexLock tree(&tree_mu_);
+  MutexLock lock(&update_mu_);
+  if (!dpt_) return;
+  ReoptInline(-1);
   // Step 4 (Sec. 4.3): fresh archive sample becomes the pooled reservoir,
   // re-sized to the configured rate of the *current* table.
-  const size_t target = std::max<size_t>(
-      32, static_cast<size_t>(2.0 * opts_.sample_rate *
-                              static_cast<double>(table_.size())));
+  const size_t target = ReservoirTarget();
   reservoir_ = std::make_unique<DynamicReservoir>(target, rng_.Next());
   std::vector<Tuple> fresh =
       table_.SampleUniform(&rng_, target, opts_.exec);
   reservoir_->Reset(fresh);
   dpt_->ResetSamples(fresh);
   counters_.last_reopt_seconds = timer.ElapsedSeconds();
-  ++counters_.repartitions;
+}
+
+bool JanusAqp::ReoptInline(int drift_leaf) {
+  ReoptRun run;
+  run.drift_leaf = drift_leaf;
+  BeginReopt(&run);
+  BuildReopt(&run);
+  return FinishReopt(&run);
+}
+
+void JanusAqp::ClearReoptRequest() {
+  reopt_request_ = false;
+  reopt_request_starved_ = false;
+  reopt_request_leaf_ = -1;
 }
 
 bool JanusAqp::ReoptRequested() const {
@@ -495,208 +459,239 @@ bool JanusAqp::ReoptRequested() const {
   return reopt_request_;
 }
 
-bool JanusAqp::BeginBackgroundReopt() {
-  MutexLock lock(&update_mu_);
-  if (bg_active_ || !dpt_ || !reservoir_) return false;
-  bg_ = BackgroundReopt{};
-  // Consume the pending request; with none pending this is an explicit,
-  // unconditional rebuild (the background Reinitialize analogue).
-  bg_.starved = reopt_request_ ? reopt_request_starved_ : true;
-  bg_.drift =
-      reopt_request_ && reopt_request_drift_ && !reopt_request_starved_;
-  bg_.drift_leaf = reopt_request_leaf_;
-  reopt_request_ = false;
-  reopt_request_starved_ = false;
-  reopt_request_drift_ = false;
-  reopt_request_leaf_ = -1;
-  // T0 snapshot: pooled sample, |D|, an index-free archive copy, and the
-  // catch-up seed — drawn *now*, so the RNG stream is positioned exactly as
-  // if a blocking rebuild had adopted at this point (the equivalence
-  // contract in the header depends on this).
-  bg_.live_at_begin = dpt_.get();
-  bg_.snapshot = reservoir_->samples();
-  bg_.n0 = table_.size();
-  // Only the id order is captured here; the payload copy — tens of
-  // milliseconds at 1M rows, far too long for a hold that fences queries —
-  // is deferred to AssembleReoptArchive in stage 2.
-  bg_.t0_ids = table_.store().ids();
-  bg_.archive = std::make_unique<ColumnStore>(table_.store().schema());
-  bg_.catchup_seed = rng_.Next();
-  bg_.total.Reset();
-  bg_capture_ = true;
-  bg_active_ = true;
+void JanusAqp::BeginReopt(ReoptRun* run) {
+  run->total.Reset();
+  run->live_at_begin = dpt_.get();
+  run->n0 = table_.size();
+}
+
+void JanusAqp::BuildReopt(ReoptRun* run) {
+  // No update reaches an inline run's reservoir before its Finish.
+  const std::vector<Tuple>& samples =
+      run->overlapped ? run->snapshot : reservoir_->samples();
+  PartitionResult pr = OptimizePartition(samples, MakeSptOptions(), run->n0);
+  run->cand_var = pr.achieved_error * pr.achieved_error;
+  // Drift runs stay conditional (Sec. 5.4): adopt only a candidate that
+  // beats the live tree by a factor beta. An inline run's live tree cannot
+  // change before Finish, so its test is final here and a losing candidate
+  // is never populated; an overlapped run retests at Finish.
+  run->build_ok = pr.ok && (run->overlapped || run->drift_leaf < 0 ||
+                            BeatsLiveTree(run->cand_var));
+  if (!run->build_ok) return;
+  run->blocking.Reset();
+  run->side = std::make_unique<Dpt>(MakeDptOptions(), std::move(pr.spec));
+  run->side->InitializeFromReservoir(samples, run->n0);
+  run->baselines = ComputeBaselines(*run->side);
+}
+
+bool JanusAqp::FinishReopt(ReoptRun* run) {
+  // A synopsis replaced by any other path mid-pipeline (explicit
+  // Reinitialize, snapshot Load) makes the side tree stale: its snapshot,
+  // delta stream and catch-up seed describe a tree that no longer exists.
+  const bool live = dpt_.get() == run->live_at_begin;
+  const int leaf = run->drift_leaf;
+  bool adopt = live && run->build_ok;
+  if (adopt && leaf >= 0 && run->overlapped) {
+    // The live tree kept absorbing updates during the build: retest.
+    adopt = BeatsLiveTree(run->cand_var);
+  }
+  if (!adopt) {
+    if (live && leaf >= 0 &&
+        leaf < static_cast<int>(leaf_baseline_var_.size())) {
+      // The drifted level is the new normal; avoid re-firing every check.
+      leaf_baseline_var_[static_cast<size_t>(leaf)] =
+          dpt_->sample_index().MaxVariance(dpt_->LeafRect(leaf), opts_.focus);
+    }
+    if (run->overlapped) ++counters_.background_discards;
+    return false;
+  }
+  // Replay what the pre-drain left and swap the pointer; the retired tree
+  // and catch-up engine move into the run.
+  run->replayed += ReplayReoptDelta(run->delta, {run->side.get()});
+  dpt_.swap(run->side);
+  run->retired_catchup = std::move(catchup_);
+  if (!run->overlapped) {
+    // Inline, the whole run holds updates off anyway: free the retired tree
+    // before the archive copy so the copy does not stack on it. The old
+    // catch-up engine (with its archive copy) goes only after the new copy
+    // exists: freeing it first hands its pages back to the system, and the
+    // copy then pays to fault them in again.
+    run->side.reset();
+    run->archive =
+        std::make_unique<ColumnStore>(table_.store().WithoutIndex());
+    run->catchup_seed = rng_.Next();
+  }
+  const size_t goal = static_cast<size_t>(
+      opts_.catchup_rate * static_cast<double>(run->n0));
+  catchup_ = std::make_unique<CatchupEngine>(
+      dpt_.get(), std::move(*run->archive), goal, run->catchup_seed);
+  leaf_baseline_var_ = std::move(run->baselines);
+  // Requests recorded against the tree just replaced are superseded by the
+  // adoption (fresh baselines, fresh catch-up).
+  ClearReoptRequest();
+  counters_.delta_ops_replayed += run->replayed;
+  counters_.last_blocking_seconds = run->blocking.ElapsedSeconds();
+  counters_.last_reopt_seconds = run->total.ElapsedSeconds();
+  ++counters_.repartitions;
+  if (run->overlapped) ++counters_.background_reopts;
   return true;
 }
 
-void JanusAqp::AssembleReoptArchive() {
+bool JanusAqp::BeginBackgroundReopt() {
+  MutexLock lock(&update_mu_);
+  if (bg_ || !dpt_ || !reservoir_) return false;
+  auto run = std::make_unique<ReoptRun>();
+  run->overlapped = true;
+  // Consume the pending request; with none pending this is an explicit,
+  // unconditional rebuild (the background Reinitialize analogue). Only
+  // requests made of drift fires alone stay conditional.
+  if (reopt_request_ && !reopt_request_starved_) {
+    run->drift_leaf = reopt_request_leaf_;
+  }
+  ClearReoptRequest();
+  BeginReopt(run.get());
+  run->snapshot = reservoir_->samples();
+  // Only the archive's id order is captured here; the payload copy — tens
+  // of milliseconds at 1M rows, far too long for a hold that fences queries
+  // — is deferred to AssembleReoptArchive in stage 2. The catch-up seed is
+  // drawn *now*, so the RNG stream is positioned exactly as if an inline
+  // run had adopted at this point (the equivalence contract).
+  run->t0_ids = table_.store().ids();
+  run->archive = std::make_unique<ColumnStore>(table_.store().schema());
+  run->catchup_seed = rng_.Next();
+  bg_ = std::move(run);  // updates are double-applied from here on
+  return true;
+}
+
+void JanusAqp::AssembleReoptArchive(ReoptRun* run) {
   // Reconstruct the Begin-time archive: for every id in Begin-time order,
   // the payload is either still live (payloads are immutable while live) or
-  // was parked in bg_.rescued by the delete that removed it. Chunked holds
+  // was parked in run->rescued by the delete that removed it. Chunked holds
   // keep each update-mutex acquisition bounded, so concurrent inserters —
   // who hold the update room while they wait on this mutex — never dam up
   // the room turn long enough for queries to notice.
   constexpr size_t kChunk = 16384;
-  bg_.archive->Reserve(bg_.t0_ids.size());
+  run->archive->Reserve(run->t0_ids.size());
   for (;;) {
     std::vector<Tuple> rows;
     rows.reserve(kChunk);
     bool done = false;
     {
       MutexLock lock(&update_mu_);
-      const size_t end = std::min(bg_.copy_pos + kChunk, bg_.t0_ids.size());
-      for (size_t i = bg_.copy_pos; i < end; ++i) {
-        const uint64_t id = bg_.t0_ids[i];
-        const auto it = bg_.rescued.find(id);
-        if (it != bg_.rescued.end()) {
+      const size_t end = std::min(run->copy_pos + kChunk, run->t0_ids.size());
+      for (size_t i = run->copy_pos; i < end; ++i) {
+        const uint64_t id = run->t0_ids[i];
+        const auto it = run->rescued.find(id);
+        if (it != run->rescued.end()) {
           rows.push_back(it->second);
           continue;
         }
         const std::optional<Tuple> live = table_.Find(id);
         if (!live.has_value()) {
-          bg_.copy_failed = true;
+          run->copy_failed = true;
           return;
         }
         rows.push_back(*live);
       }
-      bg_.copy_pos = end;
-      done = end == bg_.t0_ids.size();
+      run->copy_pos = end;
+      done = end == run->t0_ids.size();
     }
-    // Only this thread touches bg_.archive between Begin and Finish; the
+    // Only this thread touches run->archive between Begin and Finish; the
     // append runs outside the lock.
-    bg_.archive->BulkAppend(rows);
+    run->archive->BulkAppend(rows);
     if (done) break;
   }
   {
     // Assembly complete: deletes stop parking payloads (copy_pos == size
     // turns the capture condition off); free the bookkeeping eagerly.
     MutexLock lock(&update_mu_);
-    std::vector<uint64_t>().swap(bg_.t0_ids);
-    bg_.copy_pos = 0;
-    bg_.rescued.clear();
+    std::vector<uint64_t>().swap(run->t0_ids);
+    run->copy_pos = 0;
+    run->rescued.clear();
   }
 }
 
 void JanusAqp::BuildBackgroundReopt() {
-  if (!bg_active_) return;
-  AssembleReoptArchive();
-  if (bg_.copy_failed) return;  // build_ok stays false; Finish discards.
-  PartitionResult pr =
-      OptimizePartition(bg_.snapshot, MakeSptOptions(), bg_.n0);
-  bg_.build_ok = pr.ok;
-  if (!pr.ok) return;
-  bg_.cand_var = pr.achieved_error * pr.achieved_error;
-  bg_.side = std::make_unique<Dpt>(MakeDptOptions(), std::move(pr.spec));
-  bg_.side->InitializeFromReservoir(bg_.snapshot, bg_.n0);
-  // Baselines of the snapshot-initialized tree — what a blocking rebuild at
-  // the Begin point would compute. Doing it here keeps the per-leaf
-  // MaxVariance sweep out of the exclusive adoption step.
-  bg_.baselines = ComputeBaselines(*bg_.side);
-  // Pre-drain: keep swapping the delta buffer out (under update_mu_) and
-  // replaying it into the side tree without any lock, until the tail fits
-  // the exclusive step's budget. Rounds are bounded — a hot update stream
-  // can always outrun the drain, and the tail replay handles the rest.
-  for (int round = 0; round < 8; ++round) {
-    std::vector<ReoptDeltaOp> batch;
-    {
-      MutexLock lock(&update_mu_);
-      if (bg_.delta.size() <= opts_.reopt_delta_tail) break;
-      batch.swap(bg_.delta);
-    }
-    bg_.replayed += ReplayReoptDelta(batch, bg_.side.get());
-  }
+  if (!bg_) return;
+  AssembleReoptArchive(bg_.get());
+  if (bg_->copy_failed) return;  // build_ok stays false; Finish discards.
+  BuildReopt(bg_.get());
+  if (!bg_->build_ok) return;
+  bg_->replayed += PreDrainReoptDelta(&update_mu_, &bg_->delta,
+                                      opts_.reopt_delta_tail,
+                                      {bg_->side.get()});
 }
 
 bool JanusAqp::FinishBackgroundReopt() {
-  if (!bg_active_) return false;
-  // Retired state is moved aside under the locks (O(1) pointer moves) and
-  // freed only after they release: destroying the old tree's sample index
-  // and the old catch-up's archive snapshot costs several milliseconds at
-  // 1M rows, and none of it belongs in the exclusive blocking window.
-  // Declared before the lock guards so destructor order runs locks-first.
-  std::unique_ptr<Dpt> retired_dpt;
-  std::unique_ptr<CatchupEngine> retired_catchup;
-  BackgroundReopt retired_bg;
-  Timer blocking;
+  if (!bg_) return false;
+  // Declared before the lock guards so it is destroyed after they release:
+  // the run ends up holding the retired tree, the old catch-up's archive
+  // snapshot and the delta buffer, and freeing those costs several
+  // milliseconds at 1M rows — none of it belongs in the exclusive window.
+  std::unique_ptr<ReoptRun> run;
+  bg_->blocking.Reset();
   WriterMutexLock tree(&tree_mu_);
   MutexLock lock(&update_mu_);
-  bg_active_ = false;
-  bg_capture_ = false;
-  // A synopsis replaced by any other path mid-pipeline (explicit
-  // Reinitialize, snapshot Load) makes the side tree stale: its snapshot,
-  // delta stream and catch-up seed describe a tree that no longer exists.
-  bool adopt = bg_.build_ok && bg_.side != nullptr &&
-               dpt_.get() == bg_.live_at_begin;
-  if (adopt && bg_.drift && !bg_.starved) {
-    // Drift requests stay conditional (Sec. 5.4): adopt only if the
-    // candidate still beats the live tree — which kept absorbing updates
-    // during the build — by a factor beta.
-    const double cur_max = CurrentTreeMaxVariance();
-    if (!(bg_.cand_var * opts_.beta < cur_max)) {
-      adopt = false;
-      const int leaf = bg_.drift_leaf;
-      if (leaf >= 0 && leaf < static_cast<int>(leaf_baseline_var_.size())) {
-        // As in the blocking path: the drifted level is the new normal.
-        leaf_baseline_var_[static_cast<size_t>(leaf)] =
-            dpt_->sample_index().MaxVariance(dpt_->LeafRect(leaf),
-                                             opts_.focus);
+  run = std::move(bg_);  // ends the capture
+  return FinishReopt(run.get());
+}
+
+void CaptureReoptDelta(ReoptDeltaOp::Kind update, const Tuple& t,
+                       const ReservoirChange& ch,
+                       const std::vector<Tuple>& fresh,
+                       std::vector<ReoptDeltaOp>* delta) {
+  if (ch.needs_resample) {
+    delta->push_back({ReoptDeltaOp::Kind::kSampleReset, Tuple{}, fresh});
+  } else {
+    if (ch.evicted.has_value()) {
+      delta->push_back({ReoptDeltaOp::Kind::kSampleRemove, *ch.evicted, {}});
+    }
+    if (ch.added.has_value()) {
+      delta->push_back({ReoptDeltaOp::Kind::kSampleAdd, *ch.added, {}});
+    }
+  }
+  delta->push_back({update, t, {}});
+}
+
+uint64_t ReplayReoptDelta(const std::vector<ReoptDeltaOp>& ops,
+                          const std::vector<Dpt*>& sides) {
+  for (Dpt* side : sides) {
+    for (const ReoptDeltaOp& op : ops) {
+      switch (op.kind) {
+        case ReoptDeltaOp::Kind::kInsert:
+          side->ApplyInsert(op.t);
+          break;
+        case ReoptDeltaOp::Kind::kDelete:
+          side->ApplyDelete(op.t);
+          break;
+        case ReoptDeltaOp::Kind::kSampleAdd:
+          side->SampleAdd(op.t);
+          break;
+        case ReoptDeltaOp::Kind::kSampleRemove:
+          side->SampleRemove(op.t);
+          break;
+        case ReoptDeltaOp::Kind::kSampleReset:
+          side->ResetSamples(op.reset);
+          break;
       }
     }
   }
-  if (!adopt) {
-    ++counters_.background_discards;
-    retired_bg = std::move(bg_);
-    bg_ = BackgroundReopt{};
-    return false;
-  }
-  // The exclusive tail: replay what the pre-drain left, swap the pointer,
-  // restart catch-up from the Begin-time archive snapshot and seed.
-  bg_.replayed += ReplayReoptDelta(bg_.delta, bg_.side.get());
-  retired_dpt = std::move(dpt_);
-  dpt_ = std::move(bg_.side);
-  const size_t goal = static_cast<size_t>(
-      opts_.catchup_rate * static_cast<double>(bg_.n0));
-  retired_catchup = std::move(catchup_);
-  catchup_ = std::make_unique<CatchupEngine>(
-      dpt_.get(), std::move(*bg_.archive), goal, bg_.catchup_seed);
-  leaf_baseline_var_ = std::move(bg_.baselines);
-  // Requests recorded while the build ran were evaluated against the tree
-  // just replaced; adoption (fresh baselines, fresh catch-up) supersedes
-  // them.
-  reopt_request_ = false;
-  reopt_request_starved_ = false;
-  reopt_request_drift_ = false;
-  reopt_request_leaf_ = -1;
-  counters_.delta_ops_replayed += bg_.replayed;
-  counters_.last_blocking_seconds = blocking.ElapsedSeconds();
-  counters_.last_reopt_seconds = bg_.total.ElapsedSeconds();
-  ++counters_.repartitions;
-  ++counters_.background_reopts;
-  retired_bg = std::move(bg_);
-  bg_ = BackgroundReopt{};
-  return true;
+  return static_cast<uint64_t>(ops.size() * sides.size());
 }
 
-uint64_t ReplayReoptDelta(const std::vector<ReoptDeltaOp>& ops, Dpt* side) {
-  for (const ReoptDeltaOp& op : ops) {
-    switch (op.kind) {
-      case ReoptDeltaOp::Kind::kInsert:
-        side->ApplyInsert(op.t);
-        break;
-      case ReoptDeltaOp::Kind::kDelete:
-        side->ApplyDelete(op.t);
-        break;
-      case ReoptDeltaOp::Kind::kSampleAdd:
-        side->SampleAdd(op.t);
-        break;
-      case ReoptDeltaOp::Kind::kSampleRemove:
-        side->SampleRemove(op.t);
-        break;
-      case ReoptDeltaOp::Kind::kSampleReset:
-        side->ResetSamples(op.reset);
-        break;
+uint64_t PreDrainReoptDelta(Mutex* mu, std::vector<ReoptDeltaOp>* delta,
+                            size_t tail, const std::vector<Dpt*>& sides) {
+  uint64_t replayed = 0;
+  for (int round = 0; round < 8; ++round) {
+    std::vector<ReoptDeltaOp> batch;
+    {
+      MutexLock lock(mu);
+      if (delta->size() <= tail) break;
+      batch.swap(*delta);
     }
+    replayed += ReplayReoptDelta(batch, sides);
   }
-  return static_cast<uint64_t>(ops.size());
+  return replayed;
 }
 
 void JanusAqp::SaveTo(persist::Writer* w) const {
@@ -771,55 +766,6 @@ void JanusAqp::LoadFrom(persist::Reader* r) {
   } else {
     catchup_.reset();
   }
-}
-
-void JanusAqp::BeginReinitialize() {
-  if (opt_running_) return;
-  opt_running_ = true;
-  opt_done_.store(false);
-  // The optimizer works on a snapshot of the pooled sample (Sec. 4.3 step 1
-  // runs in parallel with maintenance of the old synopsis).
-  std::vector<Tuple> snapshot;
-  {
-    MutexLock lock(&update_mu_);
-    snapshot = reservoir_->samples();
-  }
-  const size_t n = table_.size();
-  opt_thread_ = std::thread([this, snapshot = std::move(snapshot), n] {
-    opt_result_ = OptimizePartition(snapshot, MakeSptOptions(), n);
-    opt_done_.store(true);
-  });
-}
-
-bool JanusAqp::ReinitializeReady() const { return opt_done_.load(); }
-
-double JanusAqp::FinishReinitialize() {
-  if (!opt_running_) return 0;
-  opt_thread_.join();
-  opt_running_ = false;
-  Timer blocking;
-  {
-    WriterMutexLock tree(&tree_mu_);
-    MutexLock lock(&update_mu_);
-    AdoptSpec(std::move(opt_result_.spec));
-  }
-  const double secs = blocking.ElapsedSeconds();
-  counters_.last_blocking_seconds = secs;
-  // Step 4: fresh reservoir off the critical path, re-sized to the current
-  // table.
-  {
-    MutexLock lock(&update_mu_);
-    const size_t target = std::max<size_t>(
-        32, static_cast<size_t>(2.0 * opts_.sample_rate *
-                                static_cast<double>(table_.size())));
-    reservoir_ = std::make_unique<DynamicReservoir>(target, rng_.Next());
-    std::vector<Tuple> fresh =
-      table_.SampleUniform(&rng_, target, opts_.exec);
-    reservoir_->Reset(fresh);
-    dpt_->ResetSamples(fresh);
-  }
-  ++counters_.repartitions;
-  return secs;
 }
 
 void JanusAqp::CheckInvariants() const {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -24,15 +23,16 @@ class Writer;
 class Reader;
 }  // namespace persist
 
-/// How re-partitioning triggers execute (Sec. 5.4 / ROADMAP "incremental
-/// re-optimization that overlaps serving").
+/// Who drives the re-optimization pipeline when a re-partitioning trigger
+/// fires (Sec. 5.4). Both modes run the same Begin/Build/Finish stages
+/// (see JanusAqp); they differ only in whether updates flow between them.
 enum class ReoptMode {
-  /// Rebuild inline on the update path (the paper's behavior; default).
-  /// Every fire pays the whole optimize + adopt cost under exclusion.
+  /// The updater whose check fired runs all three stages inline, holding
+  /// every other updater off (the paper's behavior; default).
   kBlocking,
-  /// A fire only records a request; an owner thread drives the three-stage
-  /// Begin/Build/FinishBackgroundReopt pipeline so the exclusive section
-  /// shrinks to a pointer swap plus a bounded delta-tail replay.
+  /// A fire only records a request; an owner thread runs the stages with
+  /// updates flowing between them, so the exclusive section shrinks to a
+  /// pointer swap plus a bounded delta-tail replay.
   kBackground,
 };
 
@@ -100,8 +100,25 @@ struct ReoptDeltaOp {
   std::vector<Tuple> reset;
 };
 
-/// Apply captured ops to `side` in capture order; returns how many.
-uint64_t ReplayReoptDelta(const std::vector<ReoptDeltaOp>& ops, Dpt* side);
+/// Append the ops one live update applies to a synopsis, in the order it
+/// applies them: the reservoir change (a re-draw replaces the whole sample
+/// with `fresh`), then the update itself.
+void CaptureReoptDelta(ReoptDeltaOp::Kind update, const Tuple& t,
+                       const ReservoirChange& ch,
+                       const std::vector<Tuple>& fresh,
+                       std::vector<ReoptDeltaOp>* delta);
+
+/// Apply captured ops to every side tree in capture order; returns the
+/// number of op applications (ops x trees).
+uint64_t ReplayReoptDelta(const std::vector<ReoptDeltaOp>& ops,
+                          const std::vector<Dpt*>& sides);
+
+/// Build-stage pre-drain: swap `delta` out under `mu` and replay it into the
+/// side trees outside the lock, until at most `tail` ops remain. Rounds are
+/// bounded — a hot update stream can always outrun the drain, and the
+/// exclusive tail replay handles the rest. Returns the op applications.
+uint64_t PreDrainReoptDelta(Mutex* mu, std::vector<ReoptDeltaOp>* delta,
+                            size_t tail, const std::vector<Dpt*>& sides);
 
 /// Operational counters for the experiment harnesses.
 struct JanusCounters {
@@ -126,6 +143,17 @@ struct JanusCounters {
 /// the pooled reservoir, one DPT synopsis, the catch-up engine and the
 /// re-partitioning triggers.
 ///
+/// Every replacement of the live synopsis other than Initialize() and a
+/// partial re-partition goes through one three-stage pipeline (Sec. 4.3,
+/// Fig. 4): Begin fixes the pooled sample the run works on, Build optimizes
+/// a new partitioning and populates a side tree from that sample, Finish
+/// adopts it (or discards a drift candidate) and restarts catch-up. It has
+/// two drivers:
+///  - inline: Reinitialize() and blocking-mode trigger fires run the stages
+///    back to back on the calling thread, holding the update path off;
+///  - overlapped: in background mode an owner thread runs them through the
+///    public Begin/Build/FinishBackgroundReopt() with updates in between.
+///
 /// Thread-safety: Insert()/Delete() may be called from multiple threads
 /// concurrently (per-leaf statistics locks plus a reservoir/table mutex);
 /// blocking-mode trigger repartitions synchronize with concurrent updaters
@@ -138,7 +166,6 @@ struct JanusCounters {
 class JanusAqp {
  public:
   explicit JanusAqp(const JanusOptions& opts);
-  ~JanusAqp();
 
   /// Bulk-load initial (historical) data without per-update overhead.
   void LoadInitial(const std::vector<Tuple>& rows);
@@ -160,19 +187,11 @@ class JanusAqp {
   /// Absorb up to `batch` catch-up samples; returns how many.
   size_t StepCatchup(size_t batch);
 
-  /// Full re-optimization (Sec. 4.3): optimize partitioning on the pooled
-  /// reservoir, blocking-populate the new synopsis, re-sample the reservoir
-  /// from the archive and restart catch-up. Sequential variant.
+  /// Full re-optimization (Sec. 4.3): an inline pipeline run over the pooled
+  /// reservoir (optimize, populate the new synopsis, restart catch-up), then
+  /// step 4 — the reservoir is re-sampled from the archive. The overlapped
+  /// variant is the Begin/Build/FinishBackgroundReopt() sequence below.
   void Reinitialize();
-
-  /// Concurrent variant: runs the optimization phase on a worker thread
-  /// while the old synopsis keeps absorbing updates; FinishReinitialize()
-  /// performs only the short blocking step (Sec. 4.3, Fig. 4).
-  void BeginReinitialize();
-  bool ReinitializeReady() const;
-  /// Blocks until the optimizer is done, then swaps synopses. Returns the
-  /// duration of the blocking step.
-  double FinishReinitialize();
 
   /// Trigger evaluation for the leaf of `t` (Sec. 5.4); called internally by
   /// Insert/Delete, public for tests. Returns true if a re-partition ran.
@@ -180,7 +199,7 @@ class JanusAqp {
   /// (ReoptRequested()), calls the notify hook, and returns false.
   bool CheckTriggers(const Tuple& t);
 
-  // --- Background re-optimization (three-stage pipeline) -------------------
+  // --- Overlapped pipeline driver -------------------------------------------
   //
   // With reopt_mode = kBackground an owner thread — the engine's maintenance
   // thread in api/engines.cc, or a test driving the stages synchronously —
@@ -190,25 +209,25 @@ class JanusAqp {
   //      an O(ids) copy, so queries fenced behind the update room wait
   //      microseconds-to-low-ms, never the tens of ms a full archive copy
   //      costs at 1M rows), pre-draws the catch-up seed (so the RNG stream
-  //      matches a blocking rebuild at the snapshot point exactly), and
+  //      matches an inline run at the snapshot point exactly), and
   //      starts double-applying updates to a delta buffer.
   //   2. BuildBackgroundReopt():  no exclusion. First assembles the archive
   //      snapshot in short update-mutex chunks (deletes that race the
   //      assembly park the dying row's snapshot-time payload in a rescue
   //      map, so the result is bit-identical — same rows, same order — to
-  //      the one-shot copy stage 1 used to take), then optimizes the
-  //      partition, builds and populates the side DPT, and pre-drains the
-  //      delta buffer down to reopt_delta_tail ops while updates keep
+  //      a one-shot copy), then runs the shared Build stage and pre-drains
+  //      the delta buffer down to reopt_delta_tail ops while updates keep
   //      flowing.
   //   3. FinishBackgroundReopt(): full exclusion (the engine's exclusive
-  //      room). Replays the delta tail, applies the drift-adoption
-  //      condition, swaps the synopsis pointer and restarts catch-up.
+  //      room). Runs the shared Finish stage: replays the delta tail,
+  //      applies the drift-adoption condition, swaps the synopsis pointer
+  //      and restarts catch-up.
   //
-  // Adoption contract: the adopted tree is bit-identical to the tree a
-  // *blocking* re-optimization at the Begin() snapshot would have produced,
-  // followed by the same update stream — the delta replay preserves live op
-  // order, and the catch-up engine gets the same seed, archive snapshot and
-  // goal as the blocking path would have drawn at that moment.
+  // Adoption contract: the adopted tree is bit-identical to the tree an
+  // inline run at the Begin() snapshot would have produced, followed by the
+  // same update stream — the delta replay preserves live op order, and the
+  // catch-up engine gets the same seed, archive snapshot and goal as the
+  // inline run would have drawn at that moment.
 
   /// True when a background-mode trigger fire is waiting for a pipeline run.
   bool ReoptRequested() const;
@@ -225,7 +244,7 @@ class JanusAqp {
   /// tree by beta).
   bool FinishBackgroundReopt();
   /// True between a successful Begin and the matching Finish.
-  bool BackgroundReoptActive() const { return bg_active_; }
+  bool BackgroundReoptActive() const { return bg_ != nullptr; }
   /// Hook invoked (outside all locks) whenever a background-mode trigger
   /// records a request; the engine points this at its maintenance-thread
   /// wakeup. Set before concurrent use.
@@ -266,23 +285,29 @@ class JanusAqp {
   }
 
  private:
-  /// State of one pipeline run. Owned by the orchestrator thread driving
-  /// Begin/Build/Finish; only `delta` is shared (appended by updaters under
-  /// update_mu_, drained by the build under the same lock).
-  struct BackgroundReopt {
-    bool starved = false;  ///< unconditional adoption
-    bool drift = false;    ///< conditional adoption (beta test at Finish)
-    int drift_leaf = -1;   ///< leaf whose baseline absorbs a discard
+  /// State of one pipeline run: on the caller's stack for an inline run,
+  /// bg_ for the overlapped one (owned by the thread driving the stages;
+  /// only `delta` is shared, under update_mu_). Runs share no state, so an
+  /// inline Reinitialize() may run while an overlapped run is open.
+  struct ReoptRun {
+    /// Updates flow between the stages: capture a delta, and snapshot the
+    /// sample, the archive and the catch-up seed at Begin. An inline run
+    /// copies the archive and draws the seed at adoption — after the old
+    /// tree is freed, and never for a discarded candidate.
+    bool overlapped = false;
+    /// >= 0: a drift run, adopted only if the candidate beats the live tree
+    /// by beta; a discard resets this leaf's baseline. -1: unconditional.
+    int drift_leaf = -1;
     /// The live synopsis at Begin; if it was replaced mid-pipeline by any
     /// other path (an explicit Reinitialize, a snapshot Load) the side tree
     /// is stale and Finish discards it instead of adopting.
     const Dpt* live_at_begin = nullptr;
-    std::vector<Tuple> snapshot;  ///< pooled reservoir at Begin
-    size_t n0 = 0;                ///< |D| at Begin
-    /// Archive row ids in Begin-time order. The payload copy is deferred to
-    /// Build (AssembleReoptArchive), which reconstructs the Begin-time
-    /// archive — identical rows in identical order — without ever holding
-    /// the update mutex for more than one chunk.
+    /// Overlapped only: the pooled reservoir at Begin (an inline run reads
+    /// the live one, which no update can reach before its Finish).
+    std::vector<Tuple> snapshot;
+    size_t n0 = 0;  ///< |D| at Begin
+    /// Overlapped only: archive row ids in Begin-time order, assembled into
+    /// `archive` by AssembleReoptArchive in Build.
     std::vector<uint64_t> t0_ids;
     /// Begin-time payloads of rows deleted before the assembly reached
     /// them. emplace() keeps the first (= snapshot-time) payload even if an
@@ -293,37 +318,55 @@ class JanusAqp {
     std::unique_ptr<ColumnStore> archive;  ///< index-free archive copy
     uint64_t catchup_seed = 0;
     std::vector<ReoptDeltaOp> delta;
+    /// The side tree; after adoption, the retired live tree.
     std::unique_ptr<Dpt> side;
+    std::unique_ptr<CatchupEngine> retired_catchup;
     double cand_var = 0;   ///< side tree's achieved_error^2
     /// Trigger baselines of the snapshot-initialized side tree, computed in
-    /// Build (off the exclusive path — MaxVariance over every leaf is the
-    /// expensive part of adoption) and installed verbatim at Finish. This is
-    /// exactly what a blocking rebuild at the Begin point computes: baselines
-    /// are a function of the reservoir-initialized tree, not of the delta
-    /// ops replayed after it.
+    /// Build (off the exclusive path) and installed verbatim at Finish —
+    /// they do not depend on the delta ops replayed after it.
     std::vector<double> baselines;
+    /// A side tree was built (the optimizer succeeded and, inline, the
+    /// candidate passed the drift test).
     bool build_ok = false;
     uint64_t replayed = 0;  ///< ops drained into the side tree pre-adoption
     Timer total;            ///< Begin -> adoption wall clock
+    /// Start of the step that holds updates off (last_blocking_seconds):
+    /// the populate step after the optimizer for an inline run, the
+    /// exclusive Finish for an overlapped one.
+    Timer blocking;
   };
 
-  /// Stage-2 helper: materialize bg_.archive from bg_.t0_ids + the live
-  /// store + bg_.rescued, in bounded update-mutex holds. Sets
-  /// bg_.copy_failed (and leaves build_ok false) if a row can no longer be
-  /// resolved — only possible when another path replaced the table
-  /// mid-pipeline, which Finish independently detects and discards.
-  void AssembleReoptArchive();
+  // The stage bodies shared by both drivers.
+  /// Record the live tree and |D|. Caller holds update_mu_.
+  void BeginReopt(ReoptRun* run);
+  /// Optimize on the sample, populate the side tree, compute its
+  /// baselines. Writes only `run`; an overlapped run needs no lock, an
+  /// inline one reads the live reservoir under its caller's locks.
+  void BuildReopt(ReoptRun* run);
+  /// Adopt or discard. Caller holds tree_mu_ exclusively and update_mu_.
+  bool FinishReopt(ReoptRun* run);
+  /// The inline driver: Begin, Build and Finish back to back. Caller holds
+  /// tree_mu_ exclusively and update_mu_. Returns true on adoption.
+  bool ReoptInline(int drift_leaf);
+
+  /// Overlapped Build helper: materialize run->archive from run->t0_ids +
+  /// the live store + run->rescued, in bounded update-mutex holds. Sets
+  /// run->copy_failed if a row can no longer be resolved (the table was
+  /// replaced mid-pipeline; Finish discards such a run anyway).
+  void AssembleReoptArchive(ReoptRun* run);
   DptOptions MakeDptOptions() const;
   SptOptions MakeSptOptions() const;
-  /// Build a synopsis from the given spec, populate from the pooled
-  /// reservoir, restart catch-up, refresh trigger baselines.
-  void AdoptSpec(PartitionTreeSpec spec);
+  /// Size of a freshly drawn pooled reservoir (2m at the configured rate).
+  size_t ReservoirTarget() const;
   void RefreshBaselines();
   /// Per-leaf MaxVariance baselines for an arbitrary (possibly side) tree.
   std::vector<double> ComputeBaselines(const Dpt& dpt) const;
-  double CurrentTreeMaxVariance() const;
-  bool FullRepartition();
+  /// The drift adoption test (Sec. 5.4): does a candidate whose worst leaf
+  /// variance is `cand_var` beat the live tree by a factor beta?
+  bool BeatsLiveTree(double cand_var) const;
   bool PartialRepartition(int leaf);
+  void ClearReoptRequest();
 
   JanusOptions opts_;
   DynamicTable table_;
@@ -352,24 +395,15 @@ class JanusAqp {
   /// update_mu_ before touching the tree).
   mutable SharedMutex tree_mu_;
 
-  // Background re-optimization state. The request flags and bg_capture_
-  // are guarded by update_mu_ (set by CheckTriggers / the pipeline, read by
-  // the capture sites in Insert/Delete); bg_ itself belongs to the single
-  // orchestrator thread, except bg_.delta (update_mu_, see above).
+  // Background re-optimization state. The request fields and the bg_
+  // pointer are written under update_mu_ (by CheckTriggers and the pipeline
+  // stages) and read there by the capture sites in Insert/Delete — a
+  // non-null bg_ means updates are double-applied to bg_->delta.
   bool reopt_request_ = false;
-  bool reopt_request_starved_ = false;
-  bool reopt_request_drift_ = false;
+  bool reopt_request_starved_ = false;  ///< any fire since was starvation
   int reopt_request_leaf_ = -1;
-  bool bg_capture_ = false;
-  bool bg_active_ = false;
-  BackgroundReopt bg_;
+  std::unique_ptr<ReoptRun> bg_;
   std::function<void()> reopt_notify_;
-
-  // Concurrent re-initialization state.
-  std::thread opt_thread_;
-  std::atomic<bool> opt_done_{false};
-  bool opt_running_ = false;
-  PartitionResult opt_result_;
 };
 
 }  // namespace janus

@@ -93,17 +93,7 @@ void MultiTemplateJanus::Insert(const Tuple& t) {
   // One global reservoir decision shared by every tree (Sec. 5.5: the set S
   // is stored once; each tree only indexes it).
   ReservoirChange ch = reservoir_->OnInsert(t, table_.size());
-  if (bg_capture_) {
-    // Double-apply: one shared op stream, replayed into every side tree in
-    // the same per-tree order as the live application below.
-    if (ch.evicted.has_value()) {
-      Capture({ReoptDeltaOp::Kind::kSampleRemove, *ch.evicted, {}});
-    }
-    if (ch.added.has_value()) {
-      Capture({ReoptDeltaOp::Kind::kSampleAdd, *ch.added, {}});
-    }
-    Capture({ReoptDeltaOp::Kind::kInsert, t, {}});
-  }
+  Capture(ReoptDeltaOp::Kind::kInsert, t, ch, {});
   for (Entry& entry : entries_) {
     if (ch.evicted.has_value()) entry.dpt->SampleRemove(*ch.evicted);
     if (ch.added.has_value()) entry.dpt->SampleAdd(*ch.added);
@@ -122,14 +112,7 @@ bool MultiTemplateJanus::Delete(uint64_t id) {
     fresh = table_.SampleUniform(&rng_, reservoir_->capacity(), base_.exec);
     reservoir_->Reset(fresh);
   }
-  if (bg_capture_) {
-    if (ch.needs_resample) {
-      Capture({ReoptDeltaOp::Kind::kSampleReset, Tuple{}, fresh});
-    } else if (ch.evicted.has_value()) {
-      Capture({ReoptDeltaOp::Kind::kSampleRemove, *ch.evicted, {}});
-    }
-    Capture({ReoptDeltaOp::Kind::kDelete, t, {}});
-  }
+  Capture(ReoptDeltaOp::Kind::kDelete, t, ch, fresh);
   for (Entry& entry : entries_) {
     if (ch.needs_resample) {
       entry.dpt->ResetSamples(fresh);
@@ -163,87 +146,86 @@ void MultiTemplateJanus::RunCatchupToGoal() {
 
 void MultiTemplateJanus::Rebuild() {
   if (!initialized_) return;
-  for (Entry& entry : entries_) BuildEntry(&entry);
+  RebuildRun run;
+  BeginRebuild(&run);
+  BuildRebuild(&run);
+  FinishRebuild(&run);
 }
 
-void MultiTemplateJanus::Capture(ReoptDeltaOp op) {
+void MultiTemplateJanus::Capture(ReoptDeltaOp::Kind update, const Tuple& t,
+                                 const ReservoirChange& ch,
+                                 const std::vector<Tuple>& fresh) {
+  if (!bg_) return;
+  // One shared op stream, replayed into every side tree in the same
+  // per-tree order as the live application.
   MutexLock lock(&delta_mu_);
-  bg_.delta.push_back(std::move(op));
+  CaptureReoptDelta(update, t, ch, fresh, &bg_->delta);
+}
+
+void MultiTemplateJanus::BeginRebuild(RebuildRun* run) {
+  run->snapshot = reservoir_->samples();
+  run->n0 = table_.size();
+  const size_t n = entries_.size();
+  run->specs.reserve(n);
+  run->seeds.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    run->specs.push_back(entries_[i].spec);
+    // Entry-order draws, so an inline and a background run at the same
+    // point leave the RNG stream in the same place (the equivalence
+    // contract).
+    run->seeds.push_back(rng_.Next());
+  }
+  run->sides.resize(n);
+}
+
+void MultiTemplateJanus::BuildRebuild(RebuildRun* run) {
+  std::vector<Dpt*> sides;
+  for (size_t i = 0; i < run->specs.size(); ++i) {
+    PartitionResult pr = OptimizePartition(
+        run->snapshot, MakeSptOptions(run->specs[i]), run->n0);
+    run->sides[i] = std::make_unique<Dpt>(MakeDptOptions(run->specs[i]),
+                                          std::move(pr.spec));
+    run->sides[i]->InitializeFromReservoir(run->snapshot, run->n0);
+    sides.push_back(run->sides[i].get());
+  }
+  run->replayed += PreDrainReoptDelta(&delta_mu_, &run->delta,
+                                      base_.reopt_delta_tail, sides);
+}
+
+void MultiTemplateJanus::FinishRebuild(RebuildRun* run) {
+  const size_t goal = static_cast<size_t>(
+      base_.catchup_rate * static_cast<double>(run->n0));
+  const ColumnStore& archive = run->archive ? *run->archive : table_.store();
+  // Swap only the templates that existed at Begin; later discoveries built
+  // live trees from the current reservoir and need no replacement. Entry
+  // indices are stable — discovery only appends.
+  for (size_t i = 0; i < run->sides.size(); ++i) {
+    run->replayed += ReplayReoptDelta(run->delta, {run->sides[i].get()});
+    Entry& e = entries_[i];
+    e.dpt = std::move(run->sides[i]);
+    e.catchup = std::make_unique<CatchupEngine>(
+        e.dpt.get(), archive.WithoutIndex(), goal, run->seeds[i]);
+  }
 }
 
 bool MultiTemplateJanus::BeginBackgroundRebuild() {
-  if (bg_active_ || !initialized_ || !reservoir_) return false;
-  bg_ = BackgroundRebuild{};
-  bg_.snapshot = reservoir_->samples();
-  bg_.n0 = table_.size();
-  bg_.archive = std::make_unique<ColumnStore>(table_.store().WithoutIndex());
-  const size_t n = entries_.size();
-  bg_.specs.reserve(n);
-  bg_.seeds.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    bg_.specs.push_back(entries_[i].spec);
-    // Entry-order draws — exactly the Next() calls a blocking Rebuild()
-    // would make now, so the RNG stream stays aligned with the blocking
-    // path (the equivalence contract).
-    bg_.seeds.push_back(rng_.Next());
-  }
-  bg_.sides.resize(n);
-  {
-    MutexLock lock(&delta_mu_);
-    bg_capture_ = true;
-  }
-  bg_active_ = true;
+  if (bg_ || !initialized_ || !reservoir_) return false;
+  auto run = std::make_unique<RebuildRun>();
+  BeginRebuild(run.get());
+  run->archive = std::make_unique<ColumnStore>(table_.store().WithoutIndex());
+  bg_ = std::move(run);  // updates are double-applied from here on
   return true;
 }
 
 void MultiTemplateJanus::BuildBackgroundRebuild() {
-  if (!bg_active_) return;
-  for (size_t i = 0; i < bg_.specs.size(); ++i) {
-    PartitionResult pr = OptimizePartition(
-        bg_.snapshot, MakeSptOptions(bg_.specs[i]), bg_.n0);
-    bg_.sides[i] = std::make_unique<Dpt>(MakeDptOptions(bg_.specs[i]),
-                                         std::move(pr.spec));
-    bg_.sides[i]->InitializeFromReservoir(bg_.snapshot, bg_.n0);
-  }
-  // Pre-drain the shared delta while updates keep flowing, leaving only a
-  // bounded tail for the exclusive adoption step (see core/janus.cc for the
-  // single-tree variant of the same loop).
-  for (int round = 0; round < 8; ++round) {
-    std::vector<ReoptDeltaOp> batch;
-    {
-      MutexLock lock(&delta_mu_);
-      if (bg_.delta.size() <= base_.reopt_delta_tail) break;
-      batch.swap(bg_.delta);
-    }
-    for (std::unique_ptr<Dpt>& side : bg_.sides) {
-      bg_.replayed += ReplayReoptDelta(batch, side.get());
-    }
-  }
+  if (bg_) BuildRebuild(bg_.get());
 }
 
 bool MultiTemplateJanus::FinishBackgroundRebuild(uint64_t* replayed) {
-  if (!bg_active_) return false;
-  {
-    MutexLock lock(&delta_mu_);
-    bg_capture_ = false;
-  }
-  bg_active_ = false;
-  for (std::unique_ptr<Dpt>& side : bg_.sides) {
-    bg_.replayed += ReplayReoptDelta(bg_.delta, side.get());
-  }
-  const size_t goal = static_cast<size_t>(
-      base_.catchup_rate * static_cast<double>(bg_.n0));
-  // Swap only the templates that existed at Begin; later discoveries built
-  // live trees from the current reservoir and need no replacement. Entry
-  // indices are stable — discovery only appends.
-  for (size_t i = 0; i < bg_.sides.size(); ++i) {
-    Entry& e = entries_[i];
-    e.dpt = std::move(bg_.sides[i]);
-    e.catchup = std::make_unique<CatchupEngine>(
-        e.dpt.get(), bg_.archive->WithoutIndex(), goal, bg_.seeds[i]);
-  }
-  if (replayed != nullptr) *replayed = bg_.replayed;
-  bg_ = BackgroundRebuild{};
+  if (!bg_) return false;
+  const std::unique_ptr<RebuildRun> run = std::move(bg_);
+  FinishRebuild(run.get());
+  if (replayed != nullptr) *replayed = run->replayed;
   return true;
 }
 

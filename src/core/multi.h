@@ -54,23 +54,24 @@ class MultiTemplateJanus {
   void RunCatchupToGoal();
 
   /// Rebuild every template's tree and catch-up engine from the current
-  /// pooled reservoir and archive — the blocking re-optimization analogue
-  /// of JanusAqp::Reinitialize. No-op before Initialize().
+  /// pooled reservoir and archive — the analogue of JanusAqp::Reinitialize:
+  /// the rebuild pipeline below, run inline. No-op before Initialize().
   void Rebuild();
 
-  // --- Background rebuild (three-stage pipeline) ----------------------------
+  // --- Rebuild pipeline ------------------------------------------------------
   //
   // The multi-template version of JanusAqp's pipeline (see core/janus.h for
-  // the staging and adoption contract): Begin() snapshots the pooled sample,
-  // the archive, the registered specs and one pre-drawn catch-up seed per
-  // template (entry order — the same draws a blocking Rebuild() would make),
-  // Build() optimizes and populates one side tree per snapshotted template
-  // with no exclusion, Finish() replays the delta tail into every side tree
-  // and swaps them in. Updates arriving mid-pipeline are double-applied to
-  // one shared delta buffer (its own mutex — the only state the build thread
-  // and the update path share). Templates discovered *during* the build are
-  // not swapped: their live trees were built from the current reservoir and
-  // absorbed every later update already.
+  // the staging and adoption contract): Begin snapshots the pooled sample,
+  // the registered specs and one pre-drawn catch-up seed per template (entry
+  // order), Build optimizes and populates one side tree per snapshotted
+  // template, Finish replays the delta tail into every side tree and swaps
+  // them in. Rebuild() runs the stages back to back; the Background methods
+  // run them with updates in between. There, Begin also copies the archive,
+  // and updates arriving mid-pipeline are double-applied to one shared delta
+  // buffer (its own mutex — the only state the build thread and the update
+  // path share). Templates discovered *during* the build are not swapped:
+  // their live trees were built from the current reservoir and absorbed
+  // every later update already.
   //
   // Begin and Finish require full exclusion (the engine's exclusive room);
   // Build runs concurrently with queries and updates.
@@ -85,7 +86,7 @@ class MultiTemplateJanus {
   /// (optional) receives the total delta applications across side trees.
   bool FinishBackgroundRebuild(uint64_t* replayed = nullptr);
   /// True between a successful Begin and the matching Finish.
-  bool BackgroundRebuildActive() const { return bg_active_; }
+  bool BackgroundRebuildActive() const { return bg_ != nullptr; }
 
   size_t num_templates() const { return entries_.size(); }
   const Dpt& dpt(int i) const { return *entries_[static_cast<size_t>(i)].dpt; }
@@ -108,13 +109,17 @@ class MultiTemplateJanus {
     std::unique_ptr<CatchupEngine> catchup;
   };
 
-  /// One pipeline run. Everything except `delta` is written at Begin under
-  /// full exclusion and then owned by the single build thread; `delta` is
-  /// shared with the update path under delta_mu_.
-  struct BackgroundRebuild {
+  /// One pipeline run: local to Rebuild(), or bg_ for the background one.
+  /// Everything except `delta` is written at Begin under full exclusion and
+  /// then owned by the single build thread; `delta` is shared with the
+  /// update path under delta_mu_.
+  struct RebuildRun {
     std::vector<Tuple> snapshot;  ///< pooled reservoir at Begin
     size_t n0 = 0;                ///< |D| at Begin
-    std::unique_ptr<ColumnStore> archive;  ///< index-free archive copy
+    /// Index-free archive copy taken at Begin by a background run. An inline
+    /// run leaves it null: each catch-up engine copies the live archive at
+    /// adoption, as the template builds do.
+    std::unique_ptr<ColumnStore> archive;
     std::vector<SynopsisSpec> specs;       ///< specs of entries_[0..n) at Begin
     std::vector<uint64_t> seeds;           ///< per-template catch-up seeds
     std::vector<std::unique_ptr<Dpt>> sides;
@@ -125,8 +130,13 @@ class MultiTemplateJanus {
   SptOptions MakeSptOptions(const SynopsisSpec& spec) const;
   DptOptions MakeDptOptions(const SynopsisSpec& spec) const;
   void BuildEntry(Entry* entry);
-  /// Append one captured op to the shared delta when a pipeline is active.
-  void Capture(ReoptDeltaOp op);
+  // The stage bodies shared by Rebuild() and the background methods.
+  void BeginRebuild(RebuildRun* run);
+  void BuildRebuild(RebuildRun* run);
+  void FinishRebuild(RebuildRun* run);
+  /// Double-apply one live update to the background run's delta, if any.
+  void Capture(ReoptDeltaOp::Kind update, const Tuple& t,
+               const ReservoirChange& ch, const std::vector<Tuple>& fresh);
 
   JanusOptions base_;
   DynamicTable table_;
@@ -135,12 +145,12 @@ class MultiTemplateJanus {
   Rng rng_;
   bool initialized_ = false;
 
-  /// Guards bg_.delta and bg_capture_ — the only state the background build
-  /// thread shares with the (externally serialized) update path.
+  /// Guards bg_->delta — the only state the background build thread shares
+  /// with the (externally serialized) update path.
   mutable Mutex delta_mu_;
-  bool bg_capture_ = false;
-  bool bg_active_ = false;
-  BackgroundRebuild bg_;
+  /// The open background run; set and cleared under full exclusion, and
+  /// non-null exactly while updates are double-applied.
+  std::unique_ptr<RebuildRun> bg_;
 };
 
 }  // namespace janus

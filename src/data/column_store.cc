@@ -31,7 +31,6 @@ ColumnStore::ColumnStore(int num_columns)
 void ColumnStore::Reserve(size_t rows) {
   for (auto& col : columns_) col.reserve(rows);
   ids_.reserve(rows);
-  index_.reserve(rows);
 }
 
 void ColumnStore::Insert(const Tuple& t) {

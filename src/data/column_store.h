@@ -52,6 +52,9 @@ class ColumnStore {
   size_t size() const { return ids_.size(); }
   bool empty() const { return ids_.empty(); }
 
+  /// Reserve room for `rows` rows in the columns and ids. The id index is
+  /// not reserved: every caller fills the store with BulkAppend, which
+  /// drops the index, and EnsureIndex sizes it when a lookup rebuilds it.
   void Reserve(size_t rows);
 
   /// Insert a tuple. Ids must be unique among live rows.

@@ -19,8 +19,7 @@ namespace janus {
 /// Storage is columnar (ColumnStore): one contiguous array per schema column
 /// with swap-remove deletes, so archival scans run through the vectorized
 /// kernels in data/scan.h instead of materializing row tuples. Hot paths read
-/// columns zero-copy via store()/column(); live() materializes rows and is
-/// kept only for the stream boundary and tests.
+/// columns zero-copy via store()/column().
 class DynamicTable {
  public:
   explicit DynamicTable(Schema schema) : store_(std::move(schema)) {}
@@ -44,11 +43,6 @@ class DynamicTable {
 
   /// Zero-copy view of one column, positionally aligned with store().ids().
   ColumnSpan column(int col) const { return store_.column(col); }
-
-  /// Live tuples materialized into rows, in arbitrary order. O(n * width):
-  /// archival scans should use store() + data/scan.h kernels instead; this
-  /// exists for the stream boundary and test assertions.
-  std::vector<Tuple> live() const;
 
   /// Uniform random sample (without replacement) of k live tuples.
   std::vector<Tuple> SampleUniform(Rng* rng, size_t k) const {

@@ -288,6 +288,31 @@ TEST(ColumnStoreTest, BulkAppendDefersIndexUntilFirstLookup) {
   EXPECT_TRUE(snap.Find(438).has_value());
 }
 
+TEST(ColumnStoreTest, ReserveThenBulkAppendCarriesNoIndexUntilLookup) {
+  // The shape of an archive assembled in chunks: Reserve the final size,
+  // then BulkAppend chunk by chunk.
+  ColumnStore store(Schema{{"a", "b"}});
+  std::vector<Tuple> rows;
+  Rng rng(17);
+  for (uint64_t i = 0; i < 3000; ++i) rows.push_back(RandomTuple(i, &rng, 2));
+  store.Reserve(rows.size());
+  for (size_t begin = 0; begin < rows.size(); begin += 1000) {
+    store.BulkAppend(std::vector<Tuple>(rows.begin() + begin,
+                                        rows.begin() + begin + 1000));
+  }
+  ASSERT_EQ(store.size(), rows.size());
+  // No bucket array was reserved: the store is exactly as large as an
+  // index-free copy of itself.
+  EXPECT_EQ(store.MemoryBytes(), store.WithoutIndex().MemoryBytes());
+  // Lookups build the index lazily and see every row.
+  EXPECT_TRUE(store.Contains(2999));
+  EXPECT_FALSE(store.Contains(3000));
+  const auto found = store.Find(1234);
+  ASSERT_TRUE(found.has_value());
+  ExpectSameTuple(*found, rows[1234], 2);
+  store.CheckInvariants();
+}
+
 TEST(ColumnStoreTest, MemoryBytesGrowsWithRowsAndShrinksWithSchema) {
   ColumnStore narrow(Schema{{"a", "b"}});
   ColumnStore wide(Schema{});

@@ -140,21 +140,29 @@ TEST(JanusTest, ConcurrentReinitializeServesOldSynopsisMeanwhile) {
   system.LoadInitial(ds.rows);
   system.Initialize();
   system.RunCatchupToGoal();
-  system.BeginReinitialize();
-  // While the optimizer runs, updates and queries keep working.
+  ASSERT_TRUE(system.BeginBackgroundReopt());
+  // Between Begin and Finish — before and after the side tree is built —
+  // updates and queries keep working against the old synopsis.
   Rng rng(21);
-  for (int i = 0; i < 1000; ++i) {
-    Tuple t;
-    t.id = 2000000 + static_cast<uint64_t>(i);
-    t[0] = rng.NextDouble();
-    t[1] = rng.Normal(10, 2);
-    system.Insert(t);
-  }
   const AggQuery q = MakeQuery(AggFunc::kCount, 0.0, 1.0);
+  auto insert_some = [&](int first, int count) {
+    for (int i = first; i < first + count; ++i) {
+      Tuple t;
+      t.id = 2000000 + static_cast<uint64_t>(i);
+      t[0] = rng.NextDouble();
+      t[1] = rng.Normal(10, 2);
+      system.Insert(t);
+    }
+  };
+  insert_some(0, 500);
   EXPECT_GT(system.Query(q).estimate, 0);
-  const double blocking = system.FinishReinitialize();
-  EXPECT_GE(blocking, 0.0);
+  system.BuildBackgroundReopt();
+  insert_some(500, 500);
+  EXPECT_GT(system.Query(q).estimate, 0);
+  ASSERT_TRUE(system.FinishBackgroundReopt());
+  EXPECT_GE(system.counters().last_blocking_seconds, 0.0);
   EXPECT_EQ(system.counters().repartitions, 1u);
+  EXPECT_EQ(system.counters().background_reopts, 1u);
   // New synopsis sees all 21000 tuples.
   system.RunCatchupToGoal();
   const auto r = system.Query(q);

@@ -91,7 +91,7 @@ JanusOptions JanusEquivOptions() {
   // update count this test applies, so the only evaluation is the manual
   // CheckTriggers() loop that drives the *blocking* instance — and with this
   // starvation factor that evaluation always reports starvation, i.e. an
-  // unconditional FullRepartition.
+  // unconditional inline pipeline run.
   o.enable_triggers = true;
   o.trigger_check_interval = 1u << 20;
   o.starvation_factor = 1e9;
@@ -172,7 +172,7 @@ TEST(ReoptBackgroundTest, PipelineMatchesBlockingRepartitionWithInterleaving) {
 
   // Point P. Background: stage 1 under (single-threaded) update exclusion.
   // Blocking: drive CheckTriggers until the interval elapses and the starved
-  // evaluation runs FullRepartition inline. Both draw exactly one RNG value
+  // evaluation runs the pipeline inline. Both draw exactly one RNG value
   // (the catch-up seed), so the streams stay aligned.
   ASSERT_TRUE(background.BeginBackgroundReopt());
   EXPECT_TRUE(background.BackgroundReoptActive());
@@ -245,6 +245,150 @@ TEST(ReoptBackgroundTest, StaleSideTreeIsDiscardedNotAdopted) {
   EXPECT_TRUE(system.FinishBackgroundReopt());
   EXPECT_EQ(system.counters().background_reopts, 1u);
   system.CheckInvariants();
+}
+
+// --- Drift (conditional) requests --------------------------------------------
+
+/// Options whose every fire is a drift fire: starvation never triggers, so
+/// the run stays conditional on the beta test at adoption.
+JanusOptions DriftOptions(double beta) {
+  JanusOptions o = JanusEquivOptions();
+  o.starvation_factor = 0;
+  o.beta = beta;
+  return o;
+}
+
+/// Drive CheckTriggers until one evaluation fires (the check interval of
+/// JanusEquivOptions makes every 2^20-th call evaluate).
+void FireOnce(JanusAqp* s, const Tuple& probe) {
+  const uint64_t before = s->counters().trigger_fires;
+  for (int i = 0; i < (1 << 21) && s->counters().trigger_fires == before;
+       ++i) {
+    s->CheckTriggers(probe);
+  }
+  ASSERT_EQ(s->counters().trigger_fires, before + 1);
+}
+
+Tuple Probe() {
+  Tuple probe;
+  probe.id = 999999999;
+  probe[0] = 0.5;
+  probe[1] = 0.0;
+  return probe;
+}
+
+TEST(ReoptBackgroundTest, AdoptedDriftRequestMatchesBlocking) {
+  // A tiny beta makes both tests of Sec. 5.4 pass on any non-degenerate
+  // tree: the probed leaf has drifted (cur > beta * base) and the candidate
+  // beats the live tree (cand_var * beta < cur_max).
+  auto ds = GenerateUniform(4000, 1, static_cast<int>(TestSeed() % 983));
+  JanusAqp blocking(DriftOptions(1e-9));
+  JanusOptions bg_opts = DriftOptions(1e-9);
+  bg_opts.reopt_mode = ReoptMode::kBackground;
+  JanusAqp background(bg_opts);
+  for (JanusAqp* s : {&blocking, &background}) {
+    s->LoadInitial(ds.rows);
+    s->Initialize();
+  }
+  std::vector<uint64_t> live;
+  for (const Tuple& t : ds.rows) live.push_back(t.id);
+  LockstepStream<JanusAqp> stream(TestSeed() + 3, 1000000, std::move(live));
+  stream.Apply({&blocking, &background}, 600, 0.3, 1);
+
+  // Point P: the same drift fire on both. Blocking runs the pipeline inline
+  // and adopts; background records a conditional request and opens a run.
+  FireOnce(&blocking, Probe());
+  EXPECT_EQ(blocking.counters().repartitions, 1u);
+  FireOnce(&background, Probe());
+  ASSERT_TRUE(background.ReoptRequested());
+  ASSERT_TRUE(background.BeginBackgroundReopt());
+  EXPECT_FALSE(background.ReoptRequested());
+
+  stream.Apply({&blocking, &background}, 3000, 1.0, 1);
+  background.BuildBackgroundReopt();
+  stream.Apply({&blocking, &background}, 100, 0.3, 1);
+  ASSERT_TRUE(background.FinishBackgroundReopt());
+
+  EXPECT_EQ(background.counters().repartitions, 1u);
+  EXPECT_EQ(background.counters().background_reopts, 1u);
+  EXPECT_EQ(blocking.counters().background_reopts, 0u);
+  stream.Apply({&blocking, &background}, 200, 0.3, 1);
+  blocking.RunCatchupToGoal();
+  background.RunCatchupToGoal();
+  ExpectSameTree(blocking, background);
+  ExpectSameAnswers(blocking, background);
+  blocking.CheckInvariants();
+  background.CheckInvariants();
+}
+
+TEST(ReoptBackgroundTest, DiscardedDriftRequestLeavesLiveTreeAndResetsBaseline) {
+  // A huge beta: the probed leaf only counts as drifted once its variance
+  // collapses to zero (emptied below), and no candidate can beat the live
+  // tree by that factor, so both drivers discard. `control` sees the same
+  // updates but never evaluates a trigger.
+  auto ds = GenerateUniform(4000, 1, static_cast<int>(TestSeed() % 977));
+  JanusAqp blocking(DriftOptions(1e18));
+  JanusAqp control(DriftOptions(1e18));
+  JanusOptions bg_opts = DriftOptions(1e18);
+  bg_opts.reopt_mode = ReoptMode::kBackground;
+  JanusAqp background(bg_opts);
+  const std::vector<JanusAqp*> all = {&blocking, &background, &control};
+  for (JanusAqp* s : all) {
+    s->LoadInitial(ds.rows);
+    s->Initialize();
+  }
+  const int leaf = blocking.dpt().LeafForTuple(Probe());
+  std::vector<uint64_t> live;
+  for (const Tuple& t : ds.rows) {
+    if (blocking.dpt().LeafForTuple(t) != leaf) {
+      live.push_back(t.id);
+      continue;
+    }
+    for (JanusAqp* s : all) ASSERT_TRUE(s->Delete(t.id));
+  }
+  const Dpt* blocking_live = &blocking.dpt();
+  const Dpt* background_live = &background.dpt();
+
+  FireOnce(&blocking, Probe());
+  FireOnce(&background, Probe());
+  ASSERT_TRUE(background.BeginBackgroundReopt());
+  background.BuildBackgroundReopt();
+  EXPECT_FALSE(background.FinishBackgroundReopt());
+
+  // The live trees are untouched; only the background driver counts its
+  // rejected side build.
+  EXPECT_EQ(&blocking.dpt(), blocking_live);
+  EXPECT_EQ(&background.dpt(), background_live);
+  for (const JanusAqp* s : {&blocking, &background}) {
+    EXPECT_EQ(s->counters().repartitions, 0u);
+  }
+  EXPECT_EQ(blocking.counters().background_discards, 0u);
+  EXPECT_EQ(background.counters().background_discards, 1u);
+
+  // The leaf's baseline was reset to its drifted (zero) level, so the next
+  // evaluation of the same leaf no longer fires.
+  for (JanusAqp* s : {&blocking, &background}) {
+    const uint64_t checks = s->counters().trigger_checks;
+    for (int i = 0; i < (1 << 20); ++i) s->CheckTriggers(Probe());
+    EXPECT_EQ(s->counters().trigger_checks, checks + 1);
+    EXPECT_EQ(s->counters().trigger_fires, 1u);
+  }
+  EXPECT_FALSE(background.ReoptRequested());
+
+  // No update drew from the system RNG since, so the answers still agree
+  // even though the background run drew its catch-up seed at Begin.
+  ExpectSameTree(blocking, background);
+  ExpectSameAnswers(blocking, background);
+
+  // The inline discard drew nothing from the system RNG: reservoir
+  // re-draws forced now pick the same samples as on the control instance.
+  LockstepStream<JanusAqp> stream(TestSeed() + 4, 1000000, std::move(live));
+  const uint64_t resamples = control.counters().reservoir_resamples;
+  stream.Apply({&blocking, &control}, 3000, 1.0, 1);
+  EXPECT_GT(control.counters().reservoir_resamples, resamples);
+  ExpectSameTree(blocking, control);
+  ExpectSameAnswers(blocking, control);
+  for (JanusAqp* s : all) s->CheckInvariants();
 }
 
 // --- MultiTemplateJanus equivalence -----------------------------------------

@@ -118,7 +118,7 @@ TEST(DynamicTableTest, LiveReflectsDeletions) {
   for (uint64_t i = 0; i < 5; ++i) table.Insert(MakeTuple(i, 0));
   table.Delete(3);
   std::set<uint64_t> ids;
-  for (const Tuple& t : table.live()) ids.insert(t.id);
+  for (uint64_t id : table.store().ids()) ids.insert(id);
   EXPECT_EQ(ids, (std::set<uint64_t>{0, 1, 2, 4}));
 }
 
